@@ -11,6 +11,7 @@
 #include "bench/bench_util.h"
 #include "metrics/hotlist_accuracy.h"
 #include "metrics/table_printer.h"
+#include "plan/planner.h"
 #include "warehouse/engine.h"
 
 int main(int argc, char** argv) {
@@ -38,9 +39,11 @@ int main(int argc, char** argv) {
     // Approximate hot list (no base-data access).
     constexpr int kQueries = 50;
     auto t0 = std::chrono::steady_clock::now();
-    QueryResponse<HotList> approx;
+    PlannedResponse approx;
     for (int q = 0; q < kQueries; ++q) {
-      approx = engine.HotListAnswer({.k = 10, .beta = 3});
+      RunPlannedQueryInto(engine.registry(),
+                          {.kind = QueryKind::kHotList, .k = 10, .beta = 3},
+                          &approx);
     }
     auto t1 = std::chrono::steady_clock::now();
     const double approx_us =
@@ -62,15 +65,18 @@ int main(int argc, char** argv) {
             .count());
 
     const HotListAccuracy acc =
-        EvaluateHotList(approx.answer, exact_scan.ExactCounts(), 10);
+        EvaluateHotList(approx.hotlist, exact_scan.ExactCounts(), 10);
 
     // Approximate COUNT(v <= 100) error.
-    const auto count_answer =
-        engine.CountWhereAnswer([](Value v) { return v <= 100; });
+    PlannedResponse count_answer;
+    RunPlannedQueryInto(
+        engine.registry(),
+        {.kind = QueryKind::kCountWhere, .range = {.high = 100}},
+        &count_answer);
     std::int64_t truth = 0;
     for (Value v : data) truth += (v <= 100);
     const double count_err =
-        100.0 * std::abs(count_answer.answer.value -
+        100.0 * std::abs(count_answer.estimate.value -
                          static_cast<double>(truth)) /
         static_cast<double>(truth);
 

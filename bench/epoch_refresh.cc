@@ -25,6 +25,7 @@
 #include "bench/bench_util.h"
 #include "concurrency/sharded_synopsis.h"
 #include "core/concise_sample.h"
+#include "plan/planner.h"
 #include "server/epoch_pump.h"
 #include "server/serving_engine.h"
 #include "view/frozen_view.h"
@@ -254,14 +255,14 @@ void RunBoundarySweep(BenchReport* report) {
 
     std::vector<std::int64_t> samples;
     samples.reserve(1 << 20);
-    HotListQuery query;
-    query.k = 10;
+    const PlannedQuery query = {.kind = QueryKind::kHotList, .k = 10};
+    PlannedResponse response;
     const std::int64_t start = NowNs();
     const std::int64_t deadline =
         start + std::chrono::nanoseconds(duration).count();
     while (NowNs() < deadline) {
       const std::int64_t t0 = NowNs();
-      (void)engine.HotListAnswer(query);
+      RunPlannedQueryInto(engine.registry(), query, &response);
       samples.push_back(NowNs() - t0);
     }
     const double elapsed_s =

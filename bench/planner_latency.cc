@@ -1,9 +1,10 @@
-// Planner latency: what the /query path adds on top of the legacy answer
-// path, broken into its stages — SQL parse + canonical-key append (the
-// cacheable-GET fast path runs both per request), PlanQuery scoring, and
-// the full plan-pin-compute-record loop — plus the behavioral payoff:
-// once the latency EWMAs are warm, deadline-bounded queries switch to a
-// faster option and the met-deadline rate recovers.
+// Planner latency: what planning adds on top of pinning a synopsis and
+// computing its answer, broken into its stages — SQL parse +
+// canonical-key append (the cacheable-GET fast path runs both per
+// request), PlanQuery scoring, and the full plan-pin-compute-record loop —
+// plus the behavioral payoff: once the latency EWMAs are warm,
+// deadline-bounded queries switch to a faster option and the met-deadline
+// rate recovers.
 //
 // Usage: planner_latency [--json <path>] [--smoke]
 
@@ -132,8 +133,9 @@ int main(int argc, char** argv) {
     report.Add(std::string("plan_") + kind_case.name, std::move(metrics));
   }
 
-  // Stage 3: the full planned path per kind versus the legacy direct
-  // answer — the planner's end-to-end overhead.
+  // Stage 3: the full planned path per kind versus pinning the accuracy
+  // order's first handle and computing the answer directly, with no
+  // planning — the planner's end-to-end overhead.
   PlannedResponse response;
   for (const auto& kind_case : KindCases()) {
     const auto planned = TimeLoop(queries, [&](int) {
@@ -142,14 +144,18 @@ int main(int argc, char** argv) {
     std::vector<std::pair<std::string, double>> metrics;
     bench::AppendSummaryMetrics("", planned, &metrics);
     if (kind_case.query.kind == QueryKind::kCountWhere) {
-      const auto legacy = TimeLoop(queries, [&](int) {
-        const auto r = registry.CountWhereAnswer(ValueRange{100, 900}, 0.95);
-        if (r.method.empty()) std::abort();
+      const SynopsisHandle* first =
+          registry.HandlesFor(QueryKind::kCountWhere).front();
+      PinnedAnswerSource pinned;
+      const auto direct = TimeLoop(queries, [&](int) {
+        const AnswerSource* source = first->PinInto(pinned);
+        if (source == nullptr) std::abort();
+        (void)source->CountWhereRangeAnswer(kind_case.query.range, 0.95, ctx);
       });
-      metrics.emplace_back("legacy_p50_ns", legacy.p50_ns);
-      metrics.emplace_back("overhead_p50_ns", planned.p50_ns - legacy.p50_ns);
-      std::printf("planned %-12s p50 %8.0f ns   legacy p50 %8.0f ns\n",
-                  kind_case.name, planned.p50_ns, legacy.p50_ns);
+      metrics.emplace_back("direct_p50_ns", direct.p50_ns);
+      metrics.emplace_back("overhead_p50_ns", planned.p50_ns - direct.p50_ns);
+      std::printf("planned %-12s p50 %8.0f ns   direct p50 %8.0f ns\n",
+                  kind_case.name, planned.p50_ns, direct.p50_ns);
     } else {
       std::printf("planned %-12s p50 %8.0f ns   p99 %8.0f ns\n",
                   kind_case.name, planned.p50_ns, planned.p99_ns);

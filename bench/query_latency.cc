@@ -108,7 +108,7 @@ int Main(int argc, char** argv) {
     // Freeze once — the per-epoch cost the view amortizes over every query
     // in the staleness window.
     const std::int64_t freeze_start = NowNs();
-    const FrozenView view = BuildConciseView(sample);
+    const FrozenView view(BuildConciseViewSpec(sample));
     const std::int64_t freeze_ns = NowNs() - freeze_start;
 
     HotListQuery hot_query;
@@ -195,7 +195,7 @@ int Main(int argc, char** argv) {
     SnapshotCache<EpochState<ConciseSample>> cache(
         [&sample]() -> Result<EpochState<ConciseSample>> {
           EpochState<ConciseSample> state{sample, std::nullopt, 0};
-          state.view.emplace(BuildConciseView(state.snapshot));
+          state.view.emplace(BuildConciseViewSpec(state.snapshot));
           return state;
         },
         {.max_stale_ops = 8192,

@@ -3,7 +3,8 @@
 // current epoch's merged snapshot), both followed by the same hot-list
 // answer computation over the snapshot — i.e. the two ways a serving layer
 // could sit on top of the sharded ingest structure.  Also reports the full
-// ServingEngine::HotListAnswer path (cache + counting sample + answer).
+// planned hot-list path on a ServingEngine (plan + cache + counting sample
+// + answer).
 //
 // The per-request path pays one O(shards * footprint) merge per query; the
 // cached path pays it once per staleness window, amortized across every
@@ -23,6 +24,7 @@
 #include "concurrency/snapshot_cache.h"
 #include "core/concise_sample.h"
 #include "hotlist/concise_hot_list.h"
+#include "plan/planner.h"
 #include "random/xoshiro256.h"
 #include "server/serving_engine.h"
 #include "workload/generators.h"
@@ -129,11 +131,16 @@ int Main(int argc, char** argv) {
     const std::size_t len = std::min<std::size_t>(1024, stream.size() - off);
     engine.InsertBatch(std::span<const Value>(stream.data() + off, len));
   }
-  (void)engine.HotListAnswer(query);  // warm both caches
+  const PlannedQuery planned_query = {.kind = QueryKind::kHotList,
+                                      .k = query.k,
+                                      .beta = query.beta};
+  PlannedResponse response;
+  // Warm both caches.
+  RunPlannedQueryInto(engine.registry(), planned_query, &response);
   std::vector<std::int64_t> engine_ns;
   engine_ns.reserve(queries);
   for (int i = 0; i < queries; ++i) {
-    const auto response = engine.HotListAnswer(query);
+    RunPlannedQueryInto(engine.registry(), planned_query, &response);
     engine_ns.push_back(response.response_ns);
   }
   const LatencySummary serving = Summarize(engine_ns);

@@ -9,6 +9,7 @@
 
 #include "metrics/hotlist_accuracy.h"
 #include "metrics/table_printer.h"
+#include "plan/planner.h"
 #include "warehouse/engine.h"
 #include "warehouse/relation.h"
 #include "workload/generators.h"
@@ -32,7 +33,10 @@ int main() {
     warehouse.Insert(product);
   }
 
-  const auto response = engine.HotListAnswer({.k = 15, .beta = 3});
+  PlannedResponse response;
+  RunPlannedQueryInto(engine.registry(),
+                      {.kind = QueryKind::kHotList, .k = 15, .beta = 3},
+                      &response);
   std::cout << "approximate top sellers via " << response.method << " in "
             << response.response_ns / 1000 << " us (no base-data access):\n";
 
@@ -40,7 +44,7 @@ int main() {
       ExactTopK(warehouse.ExactCounts(), 15);
   TablePrinter table({"product", "estimated sales", "exact sales",
                       "error %"});
-  for (const HotListItem& item : response.answer) {
+  for (const HotListItem& item : response.hotlist) {
     const auto exact = static_cast<double>(warehouse.FrequencyOf(item.value));
     table.AddRow({TablePrinter::Num(item.value),
                   TablePrinter::Num(item.estimated_count, 0),
@@ -55,18 +59,20 @@ int main() {
   table.Print(std::cout);
 
   const HotListAccuracy acc =
-      EvaluateHotList(response.answer, warehouse.ExactCounts(), 15);
+      EvaluateHotList(response.hotlist, warehouse.ExactCounts(), 15);
   std::cout << "\nrecall@15 " << acc.Recall(15) << ", precision "
             << acc.Precision() << ", engine footprint "
             << engine.TotalFootprint() << " words vs exact histogram "
             << 2 * warehouse.distinct_values() << " words on disk\n";
 
   // A quick aggregate too: how many sales came from the top-100 products?
-  const auto count_response = engine.CountWhereAnswer(
-      [](Value product) { return product <= 100; });
-  std::cout << "sales of products 1..100: ~" << count_response.answer.value
-            << " (95% CI [" << count_response.answer.ci_low << ", "
-            << count_response.answer.ci_high << "]) via "
+  PlannedResponse count_response;
+  RunPlannedQueryInto(engine.registry(),
+                      {.kind = QueryKind::kCountWhere, .range = {.high = 100}},
+                      &count_response);
+  std::cout << "sales of products 1..100: ~" << count_response.estimate.value
+            << " (95% CI [" << count_response.estimate.ci_low << ", "
+            << count_response.estimate.ci_high << "]) via "
             << count_response.method << "\n";
   return 0;
 }

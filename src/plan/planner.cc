@@ -34,6 +34,7 @@ void ComputeInto(const AnswerSource& source, const PlannedQuery& query,
     case QueryKind::kHotList: {
       HotListQuery hot_query;
       hot_query.k = query.k;
+      hot_query.beta = query.beta;
       source.HotListAnswerInto(hot_query, ctx, &out->hotlist);
       return;
     }
@@ -75,8 +76,7 @@ PlanChoice PlanQuery(const SynopsisRegistry& registry, QueryKind kind,
 
   if (bound.Unbounded()) {
     // No bounds: the first valid candidate in accuracy order, view allowed
-    // — exactly the legacy answer path's selection, so unbounded /query
-    // answers are bit-identical to the dedicated routes.
+    // — the §6 ordering the dedicated routes serve.
     for (const SynopsisHandle* handle : handles) {
       if (!handle->valid()) continue;
       choice.handle = handle;
@@ -208,8 +208,8 @@ void RunPlannedQueryInto(const SynopsisRegistry& registry,
   }
   if (source == nullptr) {
     // The chosen handle lost its state between planning and pinning (a
-    // racing invalidation): fall back through the accuracy order, exactly
-    // like the unbounded answer path.
+    // racing invalidation): fall back through the accuracy order to the
+    // first handle that still pins.
     for (const SynopsisHandle* candidate : registry.HandlesFor(query.kind)) {
       source = candidate->PinInto(pinned);
       if (source != nullptr) {
@@ -259,6 +259,24 @@ void RunPlannedQueryInto(const SynopsisRegistry& registry,
                     out->achieved_error <= query.bound.max_error);
   out->met_deadline = !query.bound.HasDeadline() ||
                       out->response_ns <= query.bound.deadline_ns;
+}
+
+QueryResponse<Estimate> RunPlannedEstimate(const SynopsisRegistry& registry,
+                                           const PlannedQuery& query) {
+  PlannedResponse planned;
+  RunPlannedQueryInto(registry, query, &planned);
+  return {planned.estimate, planned.method, planned.response_ns};
+}
+
+void RunPlannedHotListInto(const SynopsisRegistry& registry,
+                           const PlannedQuery& query,
+                           QueryResponse<HotList>* response) {
+  PlannedResponse planned;
+  planned.hotlist.swap(response->answer);
+  RunPlannedQueryInto(registry, query, &planned);
+  response->answer.swap(planned.hotlist);
+  response->method = planned.method;
+  response->response_ns = planned.response_ns;
 }
 
 }  // namespace aqua

@@ -7,6 +7,7 @@
 
 #include "estimate/aggregates.h"
 #include "hotlist/hot_list.h"
+#include "registry/query_response.h"
 #include "registry/registry.h"
 
 namespace aqua {
@@ -29,21 +30,23 @@ struct QueryBound {
   bool Unbounded() const { return !HasError() && !HasDeadline(); }
 };
 
-/// One parsed /query request: the kind plus its kind-specific parameters
-/// and the requested bounds.  The SQL frontend produces these; the planner
-/// executes them.
+/// One query: the kind plus its kind-specific parameters and the requested
+/// bounds.  The SQL frontend and the dedicated routes' parameter adapter
+/// produce these; the planner executes them.
 struct PlannedQuery {
   QueryKind kind = QueryKind::kCountWhere;
   /// TOP(k) for hot lists (0: all reportable pairs).
   std::int64_t k = 0;
+  /// Hot-list confidence threshold β (/hotlist?beta=; see HotListQuery).
+  double beta = HotListQuery{}.beta;
   /// FREQUENCY(value).
   Value value = 0;
   /// COUNT(*) WHERE low <= v <= high; defaults to the full domain, so a
   /// missing WHERE clause counts the whole relation.
-  ValueRange range;
+  ValueRange range{};
   /// QUANTILE(q) / MEDIAN.
   double q = 0.5;
-  QueryBound bound;
+  QueryBound bound{};
 };
 
 /// The planner's selection for one query: which synopsis answers, over
@@ -68,8 +71,8 @@ struct PlanChoice {
 /// Scores every valid (synopsis, path) option for `kind` against the
 /// handle's predicted error and measured latency profile:
 ///
-///  - unbounded: the first valid candidate in accuracy order — provably
-///    the same selection the legacy answer path makes;
+///  - unbounded: the first valid candidate in accuracy order (§6's
+///    ordering; what the dedicated routes ask for);
 ///  - error bound only: the *cheapest* option whose predicted error fits
 ///    (accuracy order breaks ties), falling back to the most accurate
 ///    option with meets_error=false when none fits;
@@ -109,8 +112,21 @@ struct PlannedResponse {
 /// observed latency into the handle's profile and the achieved error into
 /// the registry's planner stats.  Fills `*out` in place (clearing the
 /// hotlist) so a warmed caller answers without allocating.
+///
+/// This is the one query entry point: nothing else pins a synopsis handle
+/// or computes an answer.
 void RunPlannedQueryInto(const SynopsisRegistry& registry,
                          const PlannedQuery& query, PlannedResponse* out);
+
+/// RunPlannedQueryInto in the QueryResponse shape that the per-kind
+/// ServingEngine and SynopsisCatalog adapters return: the answer, its
+/// method tag and the response time.  The hot-list form reuses
+/// `response->answer`'s capacity.
+QueryResponse<Estimate> RunPlannedEstimate(const SynopsisRegistry& registry,
+                                           const PlannedQuery& query);
+void RunPlannedHotListInto(const SynopsisRegistry& registry,
+                           const PlannedQuery& query,
+                           QueryResponse<HotList>* response);
 
 }  // namespace aqua
 

@@ -15,85 +15,47 @@ namespace aqua {
 
 /// A pinned, read-only answer computation surface over one synopsis.
 ///
-/// SynopsisHandle::Pin() returns one of these over whatever state the
-/// handle serves from — the live synopsis in unsynchronized mode, the
+/// SynopsisHandle::PinInto() constructs one of these over whatever state
+/// the handle serves from — the live synopsis in unsynchronized mode, the
 /// epoch-cached snapshot in concurrent mode — and keeps that state alive
-/// for the duration of the computation.  Callers must check Answers(kind)
-/// before calling the corresponding answer method; the defaults return
-/// empty answers so a mis-routed call degrades rather than crashes.
+/// for the duration of the computation.  The planner (plan/planner.h) is
+/// the only caller: it pins the handle it chose for a kind the handle
+/// declared, so every answer method here is always a real answer.
 class AnswerSource {
  public:
   virtual ~AnswerSource() = default;
 
-  /// The method tag reported in QueryResponse ("counting-sample", ...).
+  /// The method tag reported with the answer ("counting-sample", ...).
   virtual std::string_view Method() const = 0;
-
-  virtual bool Answers(QueryKind kind) const = 0;
 
   /// True when this source answers `kind` from an epoch-frozen view (the
   /// fast path).  The registry's latency profiles split on this.
-  virtual bool AnswersFromView(QueryKind /*kind*/) const { return false; }
+  virtual bool AnswersFromView(QueryKind kind) const = 0;
 
-  virtual HotList HotListAnswer(const HotListQuery& query,
-                                const QueryContext& ctx) const {
-    (void)query;
-    (void)ctx;
-    return {};
-  }
-  /// Out-param form of HotListAnswer: fills `*out` (cleared first) so a
-  /// caller reusing a warmed vector answers without allocating.  The
-  /// default routes through the by-value form; sources with an
-  /// epoch-frozen view override it to walk the view's O(k) prefix straight
-  /// into `out`.
+  /// Fills `*out` (cleared first) so a caller reusing a warmed vector
+  /// answers from a frozen view without allocating.
   virtual void HotListAnswerInto(const HotListQuery& query,
                                  const QueryContext& ctx,
-                                 HotList* out) const {
-    *out = HotListAnswer(query, ctx);
-  }
-  virtual Estimate FrequencyAnswer(Value value, const QueryContext& ctx) const {
-    (void)value;
-    (void)ctx;
-    return {};
-  }
-  virtual Estimate CountWhereAnswer(const ValuePredicate& pred,
-                                    double confidence,
-                                    const QueryContext& ctx) const {
-    (void)pred;
-    (void)confidence;
-    (void)ctx;
-    return {};
-  }
-  /// Structured-range form of CountWhere.  The default folds the range
-  /// into a predicate, so every source answers ranges; sources with a
-  /// value-ordered view override this with an O(log m) prefix-sum count
-  /// (producing the identical hit total, hence the identical estimate).
+                                 HotList* out) const = 0;
+  virtual Estimate FrequencyAnswer(Value value,
+                                   const QueryContext& ctx) const = 0;
+  /// COUNT(*) WHERE low <= v <= high; O(log m) from a value-ordered view.
   virtual Estimate CountWhereRangeAnswer(const ValueRange& range,
                                          double confidence,
-                                         const QueryContext& ctx) const {
-    return CountWhereAnswer(range.AsPredicate(), confidence, ctx);
-  }
-  virtual Estimate DistinctAnswer(const QueryContext& ctx) const {
-    (void)ctx;
-    return {};
-  }
+                                         const QueryContext& ctx) const = 0;
+  virtual Estimate DistinctAnswer(const QueryContext& ctx) const = 0;
   virtual Estimate QuantileAnswer(double q, double confidence,
-                                  const QueryContext& ctx) const {
-    (void)q;
-    (void)confidence;
-    (void)ctx;
-    return {};
-  }
+                                  const QueryContext& ctx) const = 0;
 };
 
 /// Caller-provided inline storage for one pinned AnswerSource.
 ///
-/// SynopsisHandle::Pin() heap-allocates a control block plus the source
-/// object on every query; on the serving read path that is the last
-/// per-request allocation.  PinInto() instead placement-constructs the
-/// source into this fixed buffer, so a reactor that keeps one of these as
-/// scratch pins and answers with zero allocator traffic.  Non-copyable;
-/// the pinned source lives until the next Emplace()/Clear() or the
-/// holder's destruction, and must not outlive the holder.
+/// PinInto() placement-constructs the source into this fixed buffer instead
+/// of heap-allocating a control block plus the source object per query, so
+/// a caller that keeps one of these as scratch pins and answers with zero
+/// allocator traffic.  Non-copyable; the pinned source lives until the
+/// next Emplace()/Clear() or the holder's destruction, and must not
+/// outlive the holder.
 class PinnedAnswerSource {
  public:
   /// Generous upper bound on any concrete source: a vtable pointer, two

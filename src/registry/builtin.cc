@@ -62,9 +62,6 @@ SynopsisDescriptor<ReservoirSample> TraditionalSampleDescriptor(
     return QuantileEstimator(sample.Points())
         .QuantileWithBounds(q, confidence);
   };
-  descriptor.view_builder = [](const ReservoirSample& sample) {
-    return BuildTraditionalView(sample);
-  };
   descriptor.spec_builder = [](const ReservoirSample& sample) {
     return BuildTraditionalViewSpec(sample);
   };
@@ -121,9 +118,6 @@ SynopsisDescriptor<ConciseSample> ConciseSampleDescriptor(
     return QuantileEstimator(sample.ToPointSample())
         .QuantileWithBounds(q, confidence);
   };
-  descriptor.view_builder = [](const ConciseSample& sample) {
-    return BuildConciseView(sample);
-  };
   descriptor.spec_builder = [](const ConciseSample& sample) {
     return BuildConciseViewSpec(sample);
   };
@@ -168,9 +162,6 @@ SynopsisDescriptor<CountingSample> CountingSampleDescriptor(
                                     Value value, const QueryContext&) {
     return FrequencyEstimator::FromCounting(sample, value);
   };
-  descriptor.view_builder = [](const CountingSample& sample) {
-    return BuildCountingView(sample);
-  };
   descriptor.spec_builder = [](const CountingSample& sample) {
     return BuildCountingViewSpec(sample);
   };
@@ -207,9 +198,6 @@ SynopsisDescriptor<FlajoletMartin> DistinctSketchDescriptor(int num_maps) {
     // The arithmetic lives in FmDistinctEstimate (view/view_builders.h) so
     // the frozen view's precomputed estimate is bit-identical.
     return FmDistinctEstimate(sketch);
-  };
-  descriptor.view_builder = [](const FlajoletMartin& sketch) {
-    return BuildDistinctSketchView(sketch);
   };
   descriptor.spec_builder = [](const FlajoletMartin& sketch) {
     return BuildDistinctSketchViewSpec(sketch);

@@ -1,19 +1,8 @@
 #include "registry/registry.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace aqua {
-
-namespace {
-
-std::int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 std::string_view QueryKindName(QueryKind kind) {
   switch (kind) {
@@ -116,100 +105,6 @@ Status SynopsisRegistry::Delete(Value value) {
   }
   for (const auto& handle : handles_) handle->OnIngest(1);
   return status;
-}
-
-QueryResponse<HotList> SynopsisRegistry::HotListAnswer(
-    const HotListQuery& query) const {
-  const std::int64_t start = NowNs();
-  QueryResponse<HotList> response = AnswerFromBest<HotList>(
-      QueryKind::kHotList,
-      [&query](const AnswerSource& source, const QueryContext& ctx) {
-        return source.HotListAnswer(query, ctx);
-      });
-  response.response_ns = NowNs() - start;  // includes any cache access
-  return response;
-}
-
-void SynopsisRegistry::HotListAnswerInto(
-    const HotListQuery& query, QueryResponse<HotList>* response) const {
-  const std::int64_t start = NowNs();
-  response->method = "none";
-  response->answer.clear();
-  const QueryContext ctx{observed_inserts()};
-  PinnedAnswerSource pinned;
-  for (const SynopsisHandle* candidate :
-       by_kind_[static_cast<int>(QueryKind::kHotList)]) {
-    const AnswerSource* source = candidate->PinInto(pinned);
-    if (source == nullptr) continue;
-    const std::int64_t compute_start = NowNs();
-    source->HotListAnswerInto(query, ctx, &response->answer);
-    response->method = source->Method();
-    candidate->RecordLatency(QueryKind::kHotList,
-                             source->AnswersFromView(QueryKind::kHotList),
-                             NowNs() - compute_start);
-    break;
-  }
-  response->response_ns = NowNs() - start;
-}
-
-QueryResponse<Estimate> SynopsisRegistry::FrequencyAnswer(Value value) const {
-  const std::int64_t start = NowNs();
-  QueryResponse<Estimate> response = AnswerFromBest<Estimate>(
-      QueryKind::kFrequency,
-      [value](const AnswerSource& source, const QueryContext& ctx) {
-        return source.FrequencyAnswer(value, ctx);
-      });
-  response.response_ns = NowNs() - start;
-  return response;
-}
-
-QueryResponse<Estimate> SynopsisRegistry::CountWhereAnswer(
-    const ValuePredicate& pred, double confidence) const {
-  const std::int64_t start = NowNs();
-  QueryResponse<Estimate> response = AnswerFromBest<Estimate>(
-      QueryKind::kCountWhere,
-      [&pred, confidence](const AnswerSource& source,
-                          const QueryContext& ctx) {
-        return source.CountWhereAnswer(pred, confidence, ctx);
-      });
-  response.response_ns = NowNs() - start;
-  return response;
-}
-
-QueryResponse<Estimate> SynopsisRegistry::CountWhereAnswer(
-    const ValueRange& range, double confidence) const {
-  const std::int64_t start = NowNs();
-  QueryResponse<Estimate> response = AnswerFromBest<Estimate>(
-      QueryKind::kCountWhere,
-      [&range, confidence](const AnswerSource& source,
-                           const QueryContext& ctx) {
-        return source.CountWhereRangeAnswer(range, confidence, ctx);
-      });
-  response.response_ns = NowNs() - start;
-  return response;
-}
-
-QueryResponse<Estimate> SynopsisRegistry::DistinctValuesAnswer() const {
-  const std::int64_t start = NowNs();
-  QueryResponse<Estimate> response = AnswerFromBest<Estimate>(
-      QueryKind::kDistinct,
-      [](const AnswerSource& source, const QueryContext& ctx) {
-        return source.DistinctAnswer(ctx);
-      });
-  response.response_ns = NowNs() - start;
-  return response;
-}
-
-QueryResponse<Estimate> SynopsisRegistry::QuantileAnswer(
-    double q, double confidence) const {
-  const std::int64_t start = NowNs();
-  QueryResponse<Estimate> response = AnswerFromBest<Estimate>(
-      QueryKind::kQuantile,
-      [q, confidence](const AnswerSource& source, const QueryContext& ctx) {
-        return source.QuantileAnswer(q, confidence, ctx);
-      });
-  response.response_ns = NowNs() - start;
-  return response;
 }
 
 bool SynopsisRegistry::HasDeletable() const {

@@ -14,7 +14,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "registry/query_response.h"
 #include "registry/typed_handle.h"
 #include "workload/stream.h"
 
@@ -67,12 +66,12 @@ std::string_view QueryKindName(QueryKind kind);
 
 /// The registry-backed core both engines drive: owns any number of
 /// type-erased synopsis handles, routes the load stream to all of them, and
-/// answers each query kind from the most accurate valid synopsis (§6's
-/// accuracy ordering, expressed as per-kind cost/error models declared at
-/// registration — never hand-maintained per engine again).  Bounded
-/// queries go through the planner (plan/planner.h), which scores the same
-/// per-kind candidate lists against each handle's predicted error and
-/// measured latency instead of taking the first entry.
+/// keeps each query kind's candidate handles in §6's accuracy order
+/// (per-kind cost/error models declared at registration — never
+/// hand-maintained per engine again).  Queries go through the planner
+/// (plan/planner.h): unbounded ones take the first valid candidate, bounded
+/// ones score the candidates against each handle's predicted error and
+/// measured latency.
 ///
 /// Thread-safety follows the execution mode: kConcurrent registries accept
 /// ingest and queries from any thread (handles shard or lock internally;
@@ -174,31 +173,6 @@ class SynopsisRegistry {
   /// the other handles).
   Status Delete(Value value);
 
-  /// Queries: one answer path for both engines.  Handles that answer the
-  /// kind are tried in ascending accuracy-class order; the first valid
-  /// handle that can pin a snapshot answers.  Method is "none" when
-  /// nothing can.
-  QueryResponse<HotList> HotListAnswer(const HotListQuery& query) const;
-  /// Out-param form: fills `response->answer` in place (cleared first), so
-  /// a serving thread reusing one QueryResponse<HotList> as scratch
-  /// answers hot-list queries with zero allocations once the vector's
-  /// capacity is warm.
-  void HotListAnswerInto(const HotListQuery& query,
-                         QueryResponse<HotList>* response) const;
-  QueryResponse<Estimate> FrequencyAnswer(Value value) const;
-  QueryResponse<Estimate> CountWhereAnswer(const ValuePredicate& pred,
-                                           double confidence = 0.95) const;
-  /// Structured-range COUNT(*) WHERE low <= v <= high.  Same estimate as
-  /// the predicate form, but sources with a frozen view count the range in
-  /// O(log m) instead of scanning.
-  QueryResponse<Estimate> CountWhereAnswer(const ValueRange& range,
-                                           double confidence = 0.95) const;
-  QueryResponse<Estimate> DistinctValuesAnswer() const;
-  /// Estimated q-quantile (0 <= q <= 1) of the relation's values, from the
-  /// best-ranked uniform sample.
-  QueryResponse<Estimate> QuantileAnswer(double q,
-                                         double confidence = 0.95) const;
-
   /// True when some valid handle applies deletes exactly (drivers that
   /// refuse deletes otherwise, like ServingEngine, check this).
   bool HasDeletable() const;
@@ -260,9 +234,9 @@ class SynopsisRegistry {
   }
 
   /// The handles answering `kind`, ascending accuracy class (ties in
-  /// registration order) — the candidate list both the unbounded answer
-  /// path and the planner walk.  Pointers stay valid for the registry's
-  /// lifetime (registration precedes serving).
+  /// registration order) — the candidate list the planner walks.
+  /// Pointers stay valid for the registry's lifetime (registration
+  /// precedes serving).
   std::span<const SynopsisHandle* const> HandlesFor(QueryKind kind) const {
     const auto& list = by_kind_[static_cast<int>(kind)];
     return std::span<const SynopsisHandle* const>(list.data(), list.size());
@@ -341,12 +315,6 @@ class SynopsisRegistry {
     return dynamic_cast<const TypedSynopsisHandle<S>*>(handle(name));
   }
 
-  /// The single method-selection path: tries the kind's handles in rank
-  /// order and computes the answer from the first pinnable one.
-  template <typename AnswerT, typename ComputeFn>
-  QueryResponse<AnswerT> AnswerFromBest(QueryKind kind,
-                                        ComputeFn&& compute) const;
-
   Options options_;
   std::uint64_t seed_chain_ = 0;
   std::vector<std::unique_ptr<SynopsisHandle>> handles_;
@@ -359,40 +327,6 @@ class SynopsisRegistry {
   mutable std::array<std::atomic<double>, kNumQueryKinds>
       last_achieved_error_ = {-1.0, -1.0, -1.0, -1.0, -1.0};
 };
-
-template <typename AnswerT, typename ComputeFn>
-QueryResponse<AnswerT> SynopsisRegistry::AnswerFromBest(
-    QueryKind kind, ComputeFn&& compute) const {
-  QueryResponse<AnswerT> response;
-  response.method = "none";
-  const QueryContext ctx{observed_inserts()};
-  // Stack-pinned source: the epoch stays alive through the shared_ptrs
-  // inside the source object, but pinning itself never allocates.  The
-  // method tag views the descriptor's name, which the handle (and thus the
-  // registry) keeps alive for the response's consumers.
-  PinnedAnswerSource pinned;
-  for (const SynopsisHandle* candidate :
-       by_kind_[static_cast<int>(kind)]) {
-    const AnswerSource* source = candidate->PinInto(pinned);
-    if (source == nullptr) continue;  // invalidated or snapshot unavailable
-    const std::int64_t start =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count();
-    response.answer = compute(*source, ctx);
-    response.method = source->Method();
-    // Feed the measured latency profile the planner scores against —
-    // every answered query is an observation, bounded or not.
-    const std::int64_t end =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count();
-    candidate->RecordLatency(kind, source->AnswersFromView(kind),
-                             end - start);
-    break;
-  }
-  return response;
-}
 
 }  // namespace aqua
 

@@ -75,17 +75,12 @@ class SynopsisHandle {
 
   /// Pins an answer source over the handle's current state — the live
   /// synopsis (unsynchronized mode) or the epoch-cached snapshot
-  /// (concurrent mode).  Null when invalidated or no snapshot can be
-  /// built.
-  virtual std::shared_ptr<const AnswerSource> Pin() const = 0;
-
-  /// Allocation-free form of Pin(): constructs the source into the
-  /// caller's inline buffer and returns it (null exactly when Pin() would
-  /// be).  The returned pointer is invalidated by the next Emplace() on
-  /// `pinned` — the serving path keeps one PinnedAnswerSource as scratch
-  /// per query.  `allow_view` false forces the direct computation path
-  /// (the planner's view-vs-direct choice); answers are bit-identical on
-  /// both paths, only the cost differs.
+  /// (concurrent mode) — constructed into the caller's inline buffer, so
+  /// pinning never allocates.  Null when invalidated or no snapshot can be
+  /// built.  The returned pointer is invalidated by the next Emplace() on
+  /// `pinned`.  `allow_view` false forces the direct computation path (the
+  /// planner's view-vs-direct choice); answers are bit-identical on both
+  /// paths, only the cost differs.
   virtual const AnswerSource* PinInto(PinnedAnswerSource& pinned,
                                       bool allow_view) const = 0;
   const AnswerSource* PinInto(PinnedAnswerSource& pinned) const {

@@ -101,18 +101,14 @@ struct SynopsisDescriptor {
   /// Builds one instance (one shard, in sharded mode) from a seed.
   std::function<S(std::uint64_t seed)> factory;
   AnswerFunctions<S> answers;
-  /// Optional freeze-time view constructor (view_builders.h).  When set,
-  /// concurrent handles build a FrozenView from every merged snapshot and
-  /// publish {snapshot, view} under one epoch swap; query kinds the view
-  /// serves answer from it instead of the answer functions.
-  /// Unsynchronized handles ignore it (no epoch to amortize over).
-  std::function<FrozenView(const S&)> view_builder;
-  /// Optional Spec-producing half of the view builder (the Build*ViewSpec
-  /// functions).  When set it takes precedence over `view_builder`: the
-  /// handle hands the Spec to FrozenView's delta-patch constructor
-  /// together with the previous epoch's view, so successive epochs reuse
-  /// the previous orderings instead of re-sorting — O(m + d log d) per
-  /// refresh, bit-identical to the full build.
+  /// Optional freeze-time view spec (the Build*ViewSpec functions in
+  /// view_builders.h).  When set, concurrent handles freeze a FrozenView
+  /// from every merged snapshot and publish {snapshot, view} under one
+  /// epoch swap; query kinds the view serves answer from it instead of the
+  /// answer functions.  Successive epochs patch the previous view's
+  /// orderings instead of re-sorting — O(m + d log d) per refresh,
+  /// bit-identical to a full build.  Unsynchronized handles ignore it (no
+  /// epoch to amortize over).
   std::function<FrozenView::Spec(const S&)> spec_builder;
   /// Optional persist codec (persist/snapshot.h-style byte format).
   std::function<std::vector<std::uint8_t>(const S&)> encode;
@@ -191,24 +187,12 @@ class TypedAnswerSource final : public AnswerSource {
 
   std::string_view Method() const override { return descriptor_->name; }
 
-  bool Answers(QueryKind kind) const override {
-    return descriptor_->model[static_cast<int>(kind)].accuracy_class !=
-           kCannotAnswer;
-  }
-
   /// True when this source would answer the kind from the frozen view
   /// (planner path accounting, bench/stats introspection).
   bool AnswersFromView(QueryKind kind) const override {
     return view_ != nullptr && view_->Answers(kind);
   }
 
-  HotList HotListAnswer(const HotListQuery& query,
-                        const QueryContext& ctx) const override {
-    if (AnswersFromView(QueryKind::kHotList)) {
-      return view_->HotListAnswer(query);
-    }
-    return descriptor_->answers.hot_list(*snapshot_, query, ctx);
-  }
   void HotListAnswerInto(const HotListQuery& query, const QueryContext& ctx,
                          HotList* out) const override {
     if (AnswersFromView(QueryKind::kHotList)) {
@@ -223,14 +207,6 @@ class TypedAnswerSource final : public AnswerSource {
       return view_->FrequencyAnswer(value);
     }
     return descriptor_->answers.frequency(*snapshot_, value, ctx);
-  }
-  Estimate CountWhereAnswer(const ValuePredicate& pred, double confidence,
-                            const QueryContext& ctx) const override {
-    if (AnswersFromView(QueryKind::kCountWhere)) {
-      return view_->CountWhereAnswer(pred, confidence, ctx);
-    }
-    return descriptor_->answers.count_where(*snapshot_, pred, confidence,
-                                            ctx);
   }
   Estimate CountWhereRangeAnswer(const ValueRange& range, double confidence,
                                  const QueryContext& ctx) const override {
@@ -402,28 +378,36 @@ class TypedSynopsisHandle final : public SynopsisHandle {
     return 0;
   }
 
-  std::shared_ptr<const AnswerSource> Pin() const override {
-    std::shared_ptr<const S> snapshot;
-    const FrozenView* view = nullptr;
-    if (!PinState(snapshot, view)) return nullptr;
-    return std::make_shared<TypedAnswerSource<S>>(descriptor_,
-                                                  std::move(snapshot), view);
-  }
-
   using SynopsisHandle::PinInto;
   const AnswerSource* PinInto(PinnedAnswerSource& pinned,
                               bool allow_view) const override {
-    std::shared_ptr<const S> snapshot;
-    const FrozenView* view = nullptr;
-    if (!PinState(snapshot, view)) return nullptr;
-    // Placement-constructs into the caller's buffer: the epoch stays
-    // pinned by the shared_ptr members, but no control block or source
-    // object is heap-allocated.  A planner that chose the direct path
-    // drops the view pointer, so every kind answers via the descriptor's
-    // computation (the view stays alive inside the pinned epoch either
-    // way).
+    if (!valid()) return nullptr;
+    if (live_.has_value()) {
+      // Non-owning alias: the unsynchronized driver guarantees the handle
+      // outlives the answer computation.  No view — nothing to amortize
+      // a freeze over without epochs.
+      return pinned.Emplace<TypedAnswerSource<S>>(
+          descriptor_, std::shared_ptr<const S>(std::shared_ptr<const S>(),
+                                                std::addressof(*live_)));
+    }
+    Result<std::shared_ptr<const EpochState<S>>> cached = cache_->Get();
+    if (!cached.ok()) return nullptr;
+    std::shared_ptr<const EpochState<S>> state =
+        std::move(cached).ValueOrDie();
+    // A planner that chose the direct path drops the view pointer, so
+    // every kind answers via the descriptor's computation (the view stays
+    // alive inside the pinned epoch either way).
+    const FrozenView* view = allow_view && state->view.has_value()
+                                 ? std::addressof(*state->view)
+                                 : nullptr;
+    // Aliasing ptr: owns the whole EpochState, points at the snapshot —
+    // so the pinned source keeps the view alive too.  Placement-constructed
+    // into the caller's buffer: no control block or source object is
+    // heap-allocated.
+    const S* snapshot = std::addressof(state->snapshot);
     return pinned.Emplace<TypedAnswerSource<S>>(
-        descriptor_, std::move(snapshot), allow_view ? view : nullptr);
+        descriptor_, std::shared_ptr<const S>(std::move(state), snapshot),
+        view);
   }
 
   double PredictedError(QueryKind kind, const QueryContext& ctx,
@@ -655,32 +639,6 @@ class TypedSynopsisHandle final : public SynopsisHandle {
   /// repaint the profile.
   static constexpr double kLatencyEwmaAlpha = 0.125;
 
-  /// Shared pinning logic for Pin()/PinInto(): resolves the state both
-  /// source forms wrap.  False when invalidated or no snapshot can be
-  /// built.
-  bool PinState(std::shared_ptr<const S>& snapshot,
-                const FrozenView*& view) const {
-    if (!valid()) return false;
-    if (live_.has_value()) {
-      // Non-owning alias: the unsynchronized driver guarantees the handle
-      // outlives the answer computation.  No view — nothing to amortize
-      // a freeze over without epochs.
-      snapshot = std::shared_ptr<const S>(std::shared_ptr<const S>(),
-                                          std::addressof(*live_));
-      return true;
-    }
-    Result<std::shared_ptr<const EpochState<S>>> cached = cache_->Get();
-    if (!cached.ok()) return false;
-    std::shared_ptr<const EpochState<S>> state =
-        std::move(cached).ValueOrDie();
-    if (state->view.has_value()) view = std::addressof(*state->view);
-    // Aliasing ptr: owns the whole EpochState, points at the snapshot —
-    // so the pinned source keeps the view alive too.
-    const S* snapshot_ptr = std::addressof(state->snapshot);
-    snapshot = std::shared_ptr<const S>(std::move(state), snapshot_ptr);
-    return true;
-  }
-
   static std::int64_t NowNs() {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
@@ -700,10 +658,10 @@ class TypedSynopsisHandle final : public SynopsisHandle {
 
   /// Turns a freshly built snapshot into the epoch's published state,
   /// freezing the read-optimized view (and timing the build) when the
-  /// descriptor declares a builder.  With a spec_builder, the view is
-  /// patched from the previous epoch's orderings (FrozenView's incremental
-  /// constructor) instead of fully re-sorted.  Runs only inside the
-  /// cache's refresher — the refresh mutex serializes view_patch_scratch_.
+  /// descriptor declares a spec_builder.  The view is patched from the
+  /// previous epoch's orderings (FrozenView's incremental constructor)
+  /// instead of fully re-sorted.  Runs only inside the cache's refresher —
+  /// the refresh mutex serializes view_patch_scratch_.
   EpochState<S> FreezeEpoch(S&& snapshot) const {
     EpochState<S> state{std::move(snapshot), std::nullopt, 0};
     if (descriptor_->spec_builder != nullptr) {
@@ -727,12 +685,6 @@ class TypedSynopsisHandle final : public SynopsisHandle {
         view_full_builds_.fetch_add(1, std::memory_order_relaxed);
       }
       state.view_build_ns = NowNs() - start;
-    } else if (descriptor_->view_builder != nullptr) {
-      const std::int64_t start = NowNs();
-      state.view = descriptor_->view_builder(state.snapshot);
-      state.view_build_ns = NowNs() - start;
-      view_full_builds_.fetch_add(1, std::memory_order_relaxed);
-      last_view_delta_fraction_.store(1.0, std::memory_order_relaxed);
     }
     return state;
   }

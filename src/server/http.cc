@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 
 namespace aqua {
 
@@ -89,7 +90,12 @@ std::optional<double> HttpRequest::QueryDouble(std::string_view name,
   const char* begin = raw->data();
   const char* end = begin + raw->size();
   const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc() || ptr != end || raw->empty()) return std::nullopt;
+  // from_chars accepts "nan" and "inf"; no parameter means either, and a
+  // NaN slips past every range check a route makes.
+  if (ec != std::errc() || ptr != end || raw->empty() ||
+      !std::isfinite(value)) {
+    return std::nullopt;
+  }
   return value;
 }
 

@@ -57,7 +57,8 @@ struct HttpRequest {
   std::optional<std::string_view> QueryParam(std::string_view name) const;
   /// Typed accessors: the fallback is returned when the parameter is
   /// absent; std::nullopt is returned when it is present but malformed
-  /// (callers turn that into a 400).
+  /// (callers turn that into a 400).  QueryDouble counts NaN and the
+  /// infinities as malformed.
   std::optional<std::int64_t> QueryInt(std::string_view name,
                                        std::int64_t fallback) const;
   std::optional<double> QueryDouble(std::string_view name,

@@ -1,13 +1,17 @@
 // The serving binary's route table, extracted from main() so the handlers
 // are testable (zero-alloc pinning, e2e) without forking the process.
 //
+// Every query GET — /X, /attr/{name}/X and /query — is answered by
+// RunPlannedQueryInto (plan/planner.h) and rendered by one answer-field
+// writer.  /X and /attr/{name}/X differ only in how they find their
+// registry, so they share one parameter adapter and one handler.
+//
 // Allocation discipline: every GET handler renders into the server-owned
 // response scratch through a JsonWriter bound to response->body, and any
 // non-trivial answer object (hot lists, stats) lives in thread-local
-// scratch filled by the engine/catalog *Into forms.  Once a thread has
-// served each shape once, a GET request — parse, route, answer, render,
-// serialize — touches the allocator zero times (pinned by
-// tests/server/zero_alloc_test.cc).
+// scratch filled in place.  Once a thread has served each shape once, a
+// GET request — parse, route, answer, render, serialize — touches the
+// allocator zero times (pinned by tests/server/zero_alloc_test.cc).
 
 #include "server/routes.h"
 
@@ -15,6 +19,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -44,32 +49,46 @@ void JsonErrorInto(int code, std::string_view message,
   w.BeginObject().Key("error").String(message).EndObject();
 }
 
-void WriteEstimate(JsonWriter& w, const QueryResponse<Estimate>& response) {
-  w.BeginObject();
-  w.Key("estimate").Double(response.answer.value);
-  w.Key("ci_low").Double(response.answer.ci_low);
-  w.Key("ci_high").Double(response.answer.ci_high);
-  w.Key("confidence").Double(response.answer.confidence);
-  w.Key("sample_points").Int(response.answer.sample_points);
-  w.Key("method").String(response.method);
-  w.Key("response_ns").Int(response.response_ns);
-  w.EndObject();
+/// Maps a catalog Status to the HTTP layer: NotFound (unknown attribute)
+/// answers 404, everything else 500.
+void CatalogErrorInto(const Status& status, HttpResponse* response) {
+  JsonErrorInto(status.code() == StatusCode::kNotFound ? 404 : 500,
+                status.message(), response);
 }
 
-void WriteHotList(JsonWriter& w, const QueryResponse<HotList>& response) {
-  w.BeginObject();
-  w.Key("items").BeginArray();
-  for (const HotListItem& item : response.answer) {
-    w.BeginObject();
-    w.Key("value").Int(item.value);
-    w.Key("estimated_count").Double(item.estimated_count);
-    w.Key("synopsis_count").Int(item.synopsis_count);
-    w.EndObject();
+/// The answer fields every query route renders: the hot list's items or
+/// the estimate with its interval, then the synopsis that answered as
+/// `method`.  /X and /attr/{name}/X close the object with response_ns;
+/// /query wraps the fields in its statement and plan fields.
+void WriteAnswerFields(JsonWriter& w, QueryKind kind,
+                       const PlannedResponse& planned) {
+  if (kind == QueryKind::kHotList) {
+    w.Key("items").BeginArray();
+    for (const HotListItem& item : planned.hotlist) {
+      w.BeginObject();
+      w.Key("value").Int(item.value);
+      w.Key("estimated_count").Double(item.estimated_count);
+      w.Key("synopsis_count").Int(item.synopsis_count);
+      w.EndObject();
+    }
+    w.EndArray();
+  } else {
+    w.Key("estimate").Double(planned.estimate.value);
+    w.Key("ci_low").Double(planned.estimate.ci_low);
+    w.Key("ci_high").Double(planned.estimate.ci_high);
+    w.Key("confidence").Double(planned.estimate.confidence);
+    w.Key("sample_points").Int(planned.estimate.sample_points);
   }
-  w.EndArray();
-  w.Key("method").String(response.method);
-  w.Key("response_ns").Int(response.response_ns);
-  w.EndObject();
+  w.Key("method").String(planned.method);
+}
+
+/// Runs `query` into thread-local scratch: the hot-list vector keeps its
+/// capacity, so a warmed GET answers without allocating.
+const PlannedResponse& RunPlanned(const SynopsisRegistry& registry,
+                                  const PlannedQuery& query) {
+  thread_local PlannedResponse planned;
+  RunPlannedQueryInto(registry, query, &planned);
+  return planned;
 }
 
 void WriteSynopsisStats(JsonWriter& w,
@@ -124,78 +143,107 @@ void WritePlannerStats(
   w.EndArray();
 }
 
-/// Parses GET hot-list/frequency/count_where parameters shared by the
-/// engine and catalog handlers.  Each returns nullopt after rendering a
-/// 400 into *response.
-std::optional<HotListQuery> ParseHotListQuery(const HttpRequest& request,
-                                              HttpResponse* response) {
-  const auto k = request.QueryInt("k", 10);
-  const auto beta = request.QueryDouble("beta", 3.0);
-  if (!k.has_value() || *k < 0 || !beta.has_value() || *beta < 0) {
-    JsonErrorInto(400, "k and beta must be nonnegative numbers", response);
-    return std::nullopt;
+/// The query endpoint a path segment names (the QueryKindName vocabulary:
+/// "hotlist", "count_where", ...); nullopt for anything else.
+std::optional<QueryKind> EndpointKind(std::string_view endpoint) {
+  for (int i = 0; i < kNumQueryKinds; ++i) {
+    const QueryKind kind = static_cast<QueryKind>(i);
+    if (QueryKindName(kind) == endpoint) return kind;
   }
-  HotListQuery query;
-  query.k = *k;
-  query.beta = *beta;
-  return query;
+  return std::nullopt;
 }
 
-struct RangeQuery {
-  ValueRange range;
-  double confidence = 0.95;
-};
-
-std::optional<RangeQuery> ParseRangeQuery(const HttpRequest& request,
-                                          HttpResponse* response) {
-  const auto low =
-      request.QueryInt("low", std::numeric_limits<std::int64_t>::min());
-  const auto high =
-      request.QueryInt("high", std::numeric_limits<std::int64_t>::max());
-  const auto confidence = request.QueryDouble("confidence", 0.95);
-  if (!low.has_value() || !high.has_value() || !confidence.has_value() ||
-      *confidence <= 0.0 || *confidence >= 1.0) {
-    JsonErrorInto(400,
-                  "malformed ?low=/?high=/?confidence= (confidence in "
-                  "(0,1))",
-                  response);
-    return std::nullopt;
+/// The parameter adapter behind /X and /attr/{name}/X: builds `kind`'s
+/// unbounded PlannedQuery from the query string, then resolves the
+/// relation's registry from `lookup` (the engine's, or the catalog's
+/// lookup of the attribute).  Parameters are checked first, so a malformed
+/// request to an unknown attribute answers 400, not 404.  Returns null
+/// after rendering the error.
+const SynopsisRegistry* AdaptRouteQuery(
+    QueryKind kind, const HttpRequest& request,
+    const Result<const SynopsisRegistry*>& lookup, PlannedQuery* query,
+    HttpResponse* response) {
+  query->kind = kind;
+  switch (kind) {
+    case QueryKind::kHotList: {
+      const auto k = request.QueryInt("k", 10);
+      const auto beta = request.QueryDouble("beta", 3.0);
+      if (!k.has_value() || *k < 0 || !beta.has_value() || *beta < 0) {
+        JsonErrorInto(400, "k and beta must be nonnegative numbers", response);
+        return nullptr;
+      }
+      query->k = *k;
+      query->beta = *beta;
+      break;
+    }
+    case QueryKind::kFrequency: {
+      const auto value = request.QueryInt("value", /*fallback=*/0);
+      if (!value.has_value() || !request.QueryParam("value").has_value()) {
+        JsonErrorInto(400, "missing or malformed ?value=", response);
+        return nullptr;
+      }
+      query->value = *value;
+      break;
+    }
+    case QueryKind::kCountWhere: {
+      const auto low =
+          request.QueryInt("low", std::numeric_limits<std::int64_t>::min());
+      const auto high =
+          request.QueryInt("high", std::numeric_limits<std::int64_t>::max());
+      const auto confidence = request.QueryDouble("confidence", 0.95);
+      if (!low.has_value() || !high.has_value() || !confidence.has_value() ||
+          *confidence <= 0.0 || *confidence >= 1.0) {
+        JsonErrorInto(400,
+                      "malformed ?low=/?high=/?confidence= (confidence in "
+                      "(0,1))",
+                      response);
+        return nullptr;
+      }
+      query->range.low = *low;
+      query->range.high = *high;
+      query->bound.confidence = *confidence;
+      break;
+    }
+    case QueryKind::kDistinct:
+      break;
+    case QueryKind::kQuantile: {
+      const auto q = request.QueryDouble("q", 0.5);
+      const auto confidence = request.QueryDouble("confidence", 0.95);
+      if (!q.has_value() || *q < 0.0 || *q > 1.0 || !confidence.has_value() ||
+          *confidence <= 0.0 || *confidence >= 1.0) {
+        JsonErrorInto(
+            400,
+            "malformed ?q=/?confidence= (q in [0,1], confidence in (0,1))",
+            response);
+        return nullptr;
+      }
+      query->q = *q;
+      query->bound.confidence = *confidence;
+      break;
+    }
   }
-  RangeQuery query;
-  query.range.low = *low;
-  query.range.high = *high;
-  query.confidence = *confidence;
-  return query;
+  if (!lookup.ok()) {
+    CatalogErrorInto(lookup.status(), response);
+    return nullptr;
+  }
+  return lookup.ValueOrDie();
 }
 
-struct QuantileQueryParams {
-  double q = 0.5;
-  double confidence = 0.95;
-};
-
-std::optional<QuantileQueryParams> ParseQuantileQuery(
-    const HttpRequest& request, HttpResponse* response) {
-  const auto q = request.QueryDouble("q", 0.5);
-  const auto confidence = request.QueryDouble("confidence", 0.95);
-  if (!q.has_value() || *q < 0.0 || *q > 1.0 || !confidence.has_value() ||
-      *confidence <= 0.0 || *confidence >= 1.0) {
-    JsonErrorInto(
-        400, "malformed ?q=/?confidence= (q in [0,1], confidence in (0,1))",
-        response);
-    return std::nullopt;
-  }
-  QuantileQueryParams params;
-  params.q = *q;
-  params.confidence = *confidence;
-  return params;
-}
-
-/// Thread-local hot-list response scratch shared by the engine and catalog
-/// hot-list handlers: the items vector and the per-reactor JSON render are
-/// the only non-trivial state, and both keep their capacity.
-QueryResponse<HotList>& HotListScratch() {
-  thread_local QueryResponse<HotList> scratch;
-  return scratch;
+/// The one handler behind /X and /attr/{name}/X: adapts the request, runs
+/// the unbounded plan and renders the answer.
+void HandleRouteQuery(QueryKind kind, const HttpRequest& request,
+                      const Result<const SynopsisRegistry*>& lookup,
+                      HttpResponse* response) {
+  PlannedQuery query;
+  const SynopsisRegistry* registry =
+      AdaptRouteQuery(kind, request, lookup, &query, response);
+  if (registry == nullptr) return;
+  const PlannedResponse& planned = RunPlanned(*registry, query);
+  JsonWriter w(&response->body);
+  w.BeginObject();
+  WriteAnswerFields(w, kind, planned);
+  w.Key("response_ns").Int(planned.response_ns);
+  w.EndObject();
 }
 
 /// Resolves one registry's scoped cache epoch for a cacheable request.
@@ -240,62 +288,17 @@ void RegisterServingRoutes(HttpServer& server, ServingEngine& engine,
                  response->body.append("{\"ok\":true}");
                });
 
-  server.Route(
-      "GET", "/hotlist",
-      [&engine](const HttpRequest& request, HttpResponse* response) {
-        const auto query = ParseHotListQuery(request, response);
-        if (!query.has_value()) return;
-        QueryResponse<HotList>& answer = HotListScratch();
-        engine.HotListAnswerInto(*query, &answer);
-        JsonWriter w(&response->body);
-        WriteHotList(w, answer);
-      },
-      cacheable);
-
-  server.Route(
-      "GET", "/frequency",
-      [&engine](const HttpRequest& request, HttpResponse* response) {
-        const auto value = request.QueryInt("value", /*fallback=*/0);
-        if (!value.has_value() || !request.QueryParam("value").has_value()) {
-          JsonErrorInto(400, "missing or malformed ?value=", response);
-          return;
-        }
-        JsonWriter w(&response->body);
-        WriteEstimate(w, engine.FrequencyAnswer(*value));
-      },
-      cacheable);
-
-  server.Route(
-      "GET", "/count_where",
-      [&engine](const HttpRequest& request, HttpResponse* response) {
-        const auto query = ParseRangeQuery(request, response);
-        if (!query.has_value()) return;
-        // The range overload answers in O(log m) from the epoch's frozen
-        // view when one exists (identical estimate to the predicate form).
-        JsonWriter w(&response->body);
-        WriteEstimate(
-            w, engine.CountWhereAnswer(query->range, query->confidence));
-      },
-      cacheable);
-
-  server.Route(
-      "GET", "/quantile",
-      [&engine](const HttpRequest& request, HttpResponse* response) {
-        const auto params = ParseQuantileQuery(request, response);
-        if (!params.has_value()) return;
-        JsonWriter w(&response->body);
-        WriteEstimate(w,
-                      engine.QuantileAnswer(params->q, params->confidence));
-      },
-      cacheable);
-
-  server.Route(
-      "GET", "/distinct",
-      [&engine](const HttpRequest&, HttpResponse* response) {
-        JsonWriter w(&response->body);
-        WriteEstimate(w, engine.DistinctValuesAnswer());
-      },
-      cacheable);
+  for (int i = 0; i < kNumQueryKinds; ++i) {
+    const QueryKind kind = static_cast<QueryKind>(i);
+    std::string path = "/";
+    path.append(QueryKindName(kind));
+    server.Route(
+        "GET", std::move(path),
+        [&engine, kind](const HttpRequest& request, HttpResponse* response) {
+          HandleRouteQuery(kind, request, &engine.registry(), response);
+        },
+        cacheable);
+  }
 
   // /stats is deliberately NOT cacheable: it reports live counters.
   server.Route(
@@ -448,63 +451,12 @@ std::optional<std::pair<std::string_view, std::string_view>> SplitAttrPath(
   return std::make_pair(rest.substr(0, slash), endpoint);
 }
 
-/// Maps a catalog Status to the HTTP layer: NotFound (unknown attribute)
-/// answers 404, everything else 500.
-void CatalogErrorInto(const Status& status, HttpResponse* response) {
-  JsonErrorInto(status.code() == StatusCode::kNotFound ? 404 : 500,
-                status.message(), response);
-}
-
 void HandleCatalogGet(const SynopsisCatalog& catalog,
                       std::string_view attribute, std::string_view endpoint,
                       const HttpRequest& request, HttpResponse* response) {
-  if (endpoint == "hotlist") {
-    const auto query = ParseHotListQuery(request, response);
-    if (!query.has_value()) return;
-    QueryResponse<HotList>& answer = HotListScratch();
-    const Status status = catalog.HotListForInto(attribute, *query, &answer);
-    if (!status.ok()) return CatalogErrorInto(status, response);
-    JsonWriter w(&response->body);
-    WriteHotList(w, answer);
-    return;
-  }
-  if (endpoint == "frequency") {
-    const auto value = request.QueryInt("value", /*fallback=*/0);
-    if (!value.has_value() || !request.QueryParam("value").has_value()) {
-      return JsonErrorInto(400, "missing or malformed ?value=", response);
-    }
-    const auto answer = catalog.FrequencyFor(attribute, *value);
-    if (!answer.ok()) return CatalogErrorInto(answer.status(), response);
-    JsonWriter w(&response->body);
-    WriteEstimate(w, answer.ValueOrDie());
-    return;
-  }
-  if (endpoint == "count_where") {
-    const auto query = ParseRangeQuery(request, response);
-    if (!query.has_value()) return;
-    const auto answer =
-        catalog.CountWhereFor(attribute, query->range, query->confidence);
-    if (!answer.ok()) return CatalogErrorInto(answer.status(), response);
-    JsonWriter w(&response->body);
-    WriteEstimate(w, answer.ValueOrDie());
-    return;
-  }
-  if (endpoint == "quantile") {
-    const auto params = ParseQuantileQuery(request, response);
-    if (!params.has_value()) return;
-    const auto answer =
-        catalog.QuantileFor(attribute, params->q, params->confidence);
-    if (!answer.ok()) return CatalogErrorInto(answer.status(), response);
-    JsonWriter w(&response->body);
-    WriteEstimate(w, answer.ValueOrDie());
-    return;
-  }
-  if (endpoint == "distinct") {
-    const auto answer = catalog.DistinctFor(attribute);
-    if (!answer.ok()) return CatalogErrorInto(answer.status(), response);
-    JsonWriter w(&response->body);
-    WriteEstimate(w, answer.ValueOrDie());
-    return;
+  if (const std::optional<QueryKind> kind = EndpointKind(endpoint)) {
+    return HandleRouteQuery(*kind, request, catalog.RegistryFor(attribute),
+                            response);
   }
   if (endpoint == "stats") {
     thread_local RegistryStats stats;
@@ -637,26 +589,9 @@ void WritePlannedResponse(const ParsedSqlQuery& parsed,
   w.BeginObject();
   w.Key("kind").String(QueryKindName(parsed.query.kind));
   w.Key("target").String(parsed.target);
-  if (parsed.query.kind == QueryKind::kHotList) {
-    w.Key("items").BeginArray();
-    for (const HotListItem& item : planned.hotlist) {
-      w.BeginObject();
-      w.Key("value").Int(item.value);
-      w.Key("estimated_count").Double(item.estimated_count);
-      w.Key("synopsis_count").Int(item.synopsis_count);
-      w.EndObject();
-    }
-    w.EndArray();
-  } else {
-    w.Key("estimate").Double(planned.estimate.value);
-    w.Key("ci_low").Double(planned.estimate.ci_low);
-    w.Key("ci_high").Double(planned.estimate.ci_high);
-    w.Key("confidence").Double(planned.estimate.confidence);
-    w.Key("sample_points").Int(planned.estimate.sample_points);
-  }
   // `method` matches the dedicated routes' tag (the synopsis name);
   // `synopsis` and `path` spell the planner's choice out explicitly.
-  w.Key("method").String(planned.method);
+  WriteAnswerFields(w, parsed.query.kind, planned);
   w.Key("synopsis").String(planned.method);
   w.Key("path").String(planned.used_view ? "view" : "direct");
   if (std::isfinite(planned.achieved_error)) {
@@ -691,11 +626,8 @@ void HandleSqlStatement(const ServingEngine& engine,
   if (registry == nullptr) {
     return JsonErrorInto(404, "unknown relation", response);
   }
-  // Thread-local planned-response scratch: the hot-list vector keeps its
-  // capacity, so a warmed /query GET answers without allocating.
-  thread_local PlannedResponse planned;
-  RunPlannedQueryInto(*registry, parsed.query, &planned);
-  WritePlannedResponse(parsed, planned, response);
+  WritePlannedResponse(parsed, RunPlanned(*registry, parsed.query),
+                       response);
 }
 
 }  // namespace

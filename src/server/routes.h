@@ -46,12 +46,13 @@ struct RouteConfig {
 ///   GET  /stats   (live counters; never cached)
 ///   POST /ingest /delete
 ///
-/// Every GET handler runs inline on its reactor and renders into the
-/// reactor's reused response scratch with zero allocations once warm: hot
-/// lists and stats fill thread-local scratch via the engine's *Into forms,
-/// estimates are plain values, and the JSON writer appends straight into
-/// the response body.  `engine` (and `server`, for /stats) must outlive the
-/// server's serving threads — main() owns both on its stack.
+/// Every query GET is an unbounded plan (RunPlannedQueryInto) on the
+/// engine's registry.  Every GET handler runs inline on its reactor and
+/// renders into the reactor's reused response scratch with zero
+/// allocations once warm: hot lists and stats fill thread-local scratch in
+/// place, estimates are plain values, and the JSON writer appends straight
+/// into the response body.  `engine` (and `server`, for /stats) must
+/// outlive the server's serving threads — main() owns both on its stack.
 void RegisterServingRoutes(HttpServer& server, ServingEngine& engine,
                            const RouteConfig& config = {});
 

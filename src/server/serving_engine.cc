@@ -1,6 +1,7 @@
 #include "server/serving_engine.h"
 
 #include "common/check.h"
+#include "plan/planner.h"
 
 namespace aqua {
 
@@ -41,6 +42,37 @@ Status ServingEngine::Delete(Value value) {
         "maintained under deletions, §4.1)");
   }
   return registry_.Delete(value);
+}
+
+void ServingEngine::HotListAnswerInto(const HotListQuery& query,
+                                      QueryResponse<HotList>* response) const {
+  RunPlannedHotListInto(
+      registry_,
+      {.kind = QueryKind::kHotList, .k = query.k, .beta = query.beta},
+      response);
+}
+
+QueryResponse<Estimate> ServingEngine::FrequencyAnswer(Value value) const {
+  return RunPlannedEstimate(registry_,
+                            {.kind = QueryKind::kFrequency, .value = value});
+}
+
+QueryResponse<Estimate> ServingEngine::CountWhereAnswer(
+    const ValueRange& range, double confidence) const {
+  return RunPlannedEstimate(registry_, {.kind = QueryKind::kCountWhere,
+                                        .range = range,
+                                        .bound = {.confidence = confidence}});
+}
+
+QueryResponse<Estimate> ServingEngine::DistinctValuesAnswer() const {
+  return RunPlannedEstimate(registry_, {.kind = QueryKind::kDistinct});
+}
+
+QueryResponse<Estimate> ServingEngine::QuantileAnswer(
+    double q, double confidence) const {
+  return RunPlannedEstimate(registry_, {.kind = QueryKind::kQuantile,
+                                        .q = q,
+                                        .bound = {.confidence = confidence}});
 }
 
 ServingEngine::Stats ServingEngine::GetStats() const {

@@ -34,9 +34,9 @@ struct ServingEngineOptions : SynopsisSelection {
   bool external_refresh = false;
 };
 
-/// The serving-layer counterpart of ApproximateAnswerEngine: the same query
-/// API, but safe under concurrent ingest and queries, and with per-query
-/// cost independent of the shard count.
+/// The serving-layer counterpart of ApproximateAnswerEngine: safe under
+/// concurrent ingest and queries, and with per-query cost independent of
+/// the shard count.
 ///
 /// Like the warehouse engine, this is now a thin driver over one
 /// SynopsisRegistry — in concurrent mode, so each handle instantiates the
@@ -45,15 +45,15 @@ struct ServingEngineOptions : SynopsisSelection {
 /// re-merge on snapshot refresh; unmergeable ones (counting sample, FM
 /// sketch) stay single-instance behind one mutex with copy-on-refresh
 /// snapshots.  Every query kind answers from epoch-cached snapshots
-/// (SnapshotCache) through the registry's single rank-ordered answer path;
+/// (SnapshotCache) through the planner (RunPlannedQueryInto on registry());
 /// deletes follow §4.1 per-synopsis semantics and are refused entirely
 /// when no delete-capable synopsis is maintained.
 class ServingEngine {
  public:
   explicit ServingEngine(const ServingEngineOptions& options);
 
-  /// Registers an additional synopsis served through the same answer path
-  /// (call before ingest begins).
+  /// Registers an additional synopsis the planner can answer from (call
+  /// before ingest begins).
   template <RegistrableSynopsis S>
   Status RegisterSynopsis(SynopsisDescriptor<S> descriptor) {
     return registry_.Register(std::move(descriptor));
@@ -69,38 +69,17 @@ class ServingEngine {
   /// point on.
   Status Delete(Value value);
 
-  /// Queries, served from cached snapshots.  Method selection follows the
-  /// registry's accuracy ordering; "none" when no usable synopsis remains.
-  QueryResponse<HotList> HotListAnswer(const HotListQuery& query) const {
-    return registry_.HotListAnswer(query);
-  }
-  /// Out-param form: fills a caller-owned response in place so a serving
-  /// thread reusing one QueryResponse<HotList> answers without allocating
-  /// (see SynopsisRegistry::HotListAnswerInto).
+  /// Per-kind query adapters over RunPlannedQueryInto (plan/planner.h),
+  /// each an unbounded plan on registry().  They remain for the benchmark
+  /// replay only; everything else asks the planner directly.
   void HotListAnswerInto(const HotListQuery& query,
-                         QueryResponse<HotList>* response) const {
-    registry_.HotListAnswerInto(query, response);
-  }
-  QueryResponse<Estimate> FrequencyAnswer(Value value) const {
-    return registry_.FrequencyAnswer(value);
-  }
-  QueryResponse<Estimate> CountWhereAnswer(const ValuePredicate& pred,
-                                           double confidence = 0.95) const {
-    return registry_.CountWhereAnswer(pred, confidence);
-  }
-  /// Range form: answered in O(log m) from the epoch's frozen view when
-  /// one exists (same estimate as the predicate form).
+                         QueryResponse<HotList>* response) const;
+  QueryResponse<Estimate> FrequencyAnswer(Value value) const;
   QueryResponse<Estimate> CountWhereAnswer(const ValueRange& range,
-                                           double confidence = 0.95) const {
-    return registry_.CountWhereAnswer(range, confidence);
-  }
-  QueryResponse<Estimate> DistinctValuesAnswer() const {
-    return registry_.DistinctValuesAnswer();
-  }
+                                           double confidence = 0.95) const;
+  QueryResponse<Estimate> DistinctValuesAnswer() const;
   QueryResponse<Estimate> QuantileAnswer(double q,
-                                         double confidence = 0.95) const {
-    return registry_.QuantileAnswer(q, confidence);
-  }
+                                         double confidence = 0.95) const;
 
   struct Stats {
     std::int64_t inserts = 0;

@@ -310,18 +310,6 @@ Estimate FrozenView::FrequencyAnswer(Value value, double confidence) const {
   return frequency_(CountOfValue(value), confidence);
 }
 
-Estimate FrozenView::CountWhereAnswer(const ValuePredicate& pred,
-                                      double confidence,
-                                      const QueryContext& ctx) const {
-  std::int64_t hits = 0;
-  for (const ValueCount& e : by_value_) {
-    if (pred(e.value)) hits += e.count;
-  }
-  return SampleEstimator::CountWhereFromHits(hits, sample_size_,
-                                             ctx.observed_inserts,
-                                             confidence);
-}
-
 Estimate FrozenView::CountWhereRangeAnswer(const ValueRange& range,
                                            double confidence,
                                            const QueryContext& ctx) const {

@@ -155,11 +155,6 @@ class FrozenView {
   /// estimator.
   Estimate FrequencyAnswer(Value value, double confidence = 0.95) const;
 
-  /// O(#entries): folded-entry scan for arbitrary predicates (still never
-  /// expands the point sample).
-  Estimate CountWhereAnswer(const ValuePredicate& pred, double confidence,
-                            const QueryContext& ctx) const;
-
   /// O(log m): prefix-sum difference over the inclusive [low, high] range.
   Estimate CountWhereRangeAnswer(const ValueRange& range, double confidence,
                                  const QueryContext& ctx) const;

@@ -95,22 +95,6 @@ FrozenView::Spec BuildDistinctSketchViewSpec(const FlajoletMartin& sketch) {
   return spec;
 }
 
-FrozenView BuildConciseView(const ConciseSample& sample) {
-  return FrozenView(BuildConciseViewSpec(sample));
-}
-
-FrozenView BuildCountingView(const CountingSample& sample) {
-  return FrozenView(BuildCountingViewSpec(sample));
-}
-
-FrozenView BuildTraditionalView(const ReservoirSample& sample) {
-  return FrozenView(BuildTraditionalViewSpec(sample));
-}
-
-FrozenView BuildDistinctSketchView(const FlajoletMartin& sketch) {
-  return FrozenView(BuildDistinctSketchViewSpec(sketch));
-}
-
 Estimate FmDistinctEstimate(const FlajoletMartin& sketch) {
   Estimate estimate;
   const double d = sketch.Estimate();

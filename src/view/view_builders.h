@@ -10,26 +10,19 @@
 
 namespace aqua {
 
-/// Freeze-time view constructors, one per built-in synopsis.  Each runs
-/// once per epoch inside the snapshot refresh (O(m log m) for the sorts)
-/// and captures everything the answer paths need, so queries against the
-/// epoch never touch the synopsis again.  Coverage mirrors each synopsis's
-/// declared query kinds:
+/// Freeze-time view specs, one per built-in synopsis: everything a
+/// FrozenView needs, up to (but not including) the sorts.  Each runs once
+/// per epoch inside the snapshot refresh and captures everything the
+/// answer paths need, so queries against the epoch never touch the
+/// synopsis again.  The refresh hands the Spec to FrozenView's delta-patch
+/// constructor together with the previous epoch's view;
+/// `FrozenView(BuildConciseViewSpec(sample))` is the full build.  Coverage
+/// mirrors each synopsis's declared query kinds:
 ///   concise      hot list, frequency, count_where, quantile
 ///   counting     hot list, frequency (not a uniform sample — no
 ///                count_where/quantile)
 ///   traditional  hot list, count_where, quantile
 ///   FM sketch    distinct only (the estimate itself is precomputed)
-FrozenView BuildConciseView(const ConciseSample& sample);
-FrozenView BuildCountingView(const CountingSample& sample);
-FrozenView BuildTraditionalView(const ReservoirSample& sample);
-FrozenView BuildDistinctSketchView(const FlajoletMartin& sketch);
-
-/// Spec-producing halves of the builders above: everything up to (but not
-/// including) the sorts.  The incremental refresh path needs the raw Spec
-/// so it can hand the entries to FrozenView's delta-patch constructor
-/// together with the previous epoch's view; the Build*View wrappers are
-/// Spec + full construction.
 FrozenView::Spec BuildConciseViewSpec(const ConciseSample& sample);
 FrozenView::Spec BuildCountingViewSpec(const CountingSample& sample);
 FrozenView::Spec BuildTraditionalViewSpec(const ReservoirSample& sample);
@@ -38,7 +31,7 @@ FrozenView::Spec BuildDistinctSketchViewSpec(const FlajoletMartin& sketch);
 /// [FM85] distinct-count estimate with the ±2σ multiplicative band
 /// (σ ≈ 0.78/sqrt(#maps) in log2 scale).  The single source of truth for
 /// the arithmetic: the registry's direct answer path and
-/// BuildDistinctSketchView both call it, which is what makes view answers
+/// BuildDistinctSketchViewSpec both call it, which is what makes view answers
 /// bit-identical to direct answers.
 Estimate FmDistinctEstimate(const FlajoletMartin& sketch);
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "plan/planner.h"
 #include "random/xoshiro256.h"
 
 namespace aqua {
@@ -166,56 +167,44 @@ const SynopsisRegistry* SynopsisCatalog::registry(
   return it->second.registry.get();
 }
 
-Result<QueryResponse<HotList>> SynopsisCatalog::HotListFor(
-    std::string_view attribute, const HotListQuery& query) const {
+Status SynopsisCatalog::HotListForInto(
+    std::string_view attribute, const HotListQuery& query,
+    QueryResponse<HotList>* response) const {
   AQUA_ASSIGN_OR_RETURN(const SynopsisRegistry* r, RegistryFor(attribute));
-  return r->HotListAnswer(query);
+  RunPlannedHotListInto(
+      *r, {.kind = QueryKind::kHotList, .k = query.k, .beta = query.beta},
+      response);
+  return Status::OK();
 }
 
 Result<QueryResponse<Estimate>> SynopsisCatalog::FrequencyFor(
     std::string_view attribute, Value value) const {
   AQUA_ASSIGN_OR_RETURN(const SynopsisRegistry* r, RegistryFor(attribute));
-  return r->FrequencyAnswer(value);
-}
-
-Result<QueryResponse<Estimate>> SynopsisCatalog::CountWhereFor(
-    std::string_view attribute, const ValuePredicate& pred,
-    double confidence) const {
-  AQUA_ASSIGN_OR_RETURN(const SynopsisRegistry* r, RegistryFor(attribute));
-  return r->CountWhereAnswer(pred, confidence);
+  return RunPlannedEstimate(*r,
+                            {.kind = QueryKind::kFrequency, .value = value});
 }
 
 Result<QueryResponse<Estimate>> SynopsisCatalog::CountWhereFor(
     std::string_view attribute, const ValueRange& range,
     double confidence) const {
   AQUA_ASSIGN_OR_RETURN(const SynopsisRegistry* r, RegistryFor(attribute));
-  return r->CountWhereAnswer(range, confidence);
+  return RunPlannedEstimate(*r, {.kind = QueryKind::kCountWhere,
+                                 .range = range,
+                                 .bound = {.confidence = confidence}});
 }
 
 Result<QueryResponse<Estimate>> SynopsisCatalog::DistinctFor(
     std::string_view attribute) const {
   AQUA_ASSIGN_OR_RETURN(const SynopsisRegistry* r, RegistryFor(attribute));
-  return r->DistinctValuesAnswer();
+  return RunPlannedEstimate(*r, {.kind = QueryKind::kDistinct});
 }
 
 Result<QueryResponse<Estimate>> SynopsisCatalog::QuantileFor(
     std::string_view attribute, double q, double confidence) const {
   AQUA_ASSIGN_OR_RETURN(const SynopsisRegistry* r, RegistryFor(attribute));
-  return r->QuantileAnswer(q, confidence);
-}
-
-Result<RegistryStats> SynopsisCatalog::StatsFor(
-    std::string_view attribute) const {
-  AQUA_ASSIGN_OR_RETURN(const SynopsisRegistry* r, RegistryFor(attribute));
-  return r->GetStats();
-}
-
-Status SynopsisCatalog::HotListForInto(
-    std::string_view attribute, const HotListQuery& query,
-    QueryResponse<HotList>* response) const {
-  AQUA_ASSIGN_OR_RETURN(const SynopsisRegistry* r, RegistryFor(attribute));
-  r->HotListAnswerInto(query, response);
-  return Status::OK();
+  return RunPlannedEstimate(*r, {.kind = QueryKind::kQuantile,
+                                 .q = q,
+                                 .bound = {.confidence = confidence}});
 }
 
 Status SynopsisCatalog::StatsForInto(std::string_view attribute,

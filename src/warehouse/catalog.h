@@ -13,6 +13,7 @@
 
 #include "common/result.h"
 #include "registry/builtin.h"
+#include "registry/query_response.h"
 #include "registry/registry.h"
 #include "warehouse/engine.h"
 
@@ -52,7 +53,7 @@ struct CatalogOptions {
 /// InsertBatch) routes by attribute name into concurrent registries, so
 /// after Seal() the catalog is safe under concurrent ingest and queries,
 /// and every query kind answers from the attribute's epoch-cached
-/// snapshots exactly like ServingEngine.
+/// snapshots exactly like ServingEngine (the planner on RegistryFor()).
 class SynopsisCatalog {
  public:
   /// `total_budget_words`: memory words to divide across all attributes'
@@ -87,17 +88,21 @@ class SynopsisCatalog {
   /// The registry serving an attribute (null if unknown or not sealed).
   const SynopsisRegistry* registry(std::string_view attribute) const;
 
-  /// Queries, one per kind, routed by attribute; NotFound for unknown
-  /// attributes, FailedPrecondition before Seal().
-  Result<QueryResponse<HotList>> HotListFor(std::string_view attribute,
-                                            const HotListQuery& query) const;
+  /// The same lookup with its error: NotFound for unknown attributes,
+  /// FailedPrecondition before Seal().  The attribute is looked up
+  /// heterogeneously (no temporary std::string for a name sliced out of a
+  /// URL).
+  Result<const SynopsisRegistry*> RegistryFor(
+      std::string_view attribute) const;
+
+  /// Per-kind query adapters over RunPlannedQueryInto (plan/planner.h),
+  /// each an unbounded plan on the attribute's registry, with
+  /// RegistryFor's error contract.  They remain for the benchmark replay
+  /// only; everything else asks the planner directly.
+  Status HotListForInto(std::string_view attribute, const HotListQuery& query,
+                        QueryResponse<HotList>* response) const;
   Result<QueryResponse<Estimate>> FrequencyFor(std::string_view attribute,
                                                Value value) const;
-  Result<QueryResponse<Estimate>> CountWhereFor(
-      std::string_view attribute, const ValuePredicate& pred,
-      double confidence = 0.95) const;
-  /// Range form: answered in O(log m) from the attribute's frozen view
-  /// when one exists (same estimate as the predicate form).
   Result<QueryResponse<Estimate>> CountWhereFor(
       std::string_view attribute, const ValueRange& range,
       double confidence = 0.95) const;
@@ -107,16 +112,9 @@ class SynopsisCatalog {
                                               double q,
                                               double confidence = 0.95) const;
 
-  /// Per-attribute ingest counters and per-synopsis cache/footprint stats.
-  Result<RegistryStats> StatsFor(std::string_view attribute) const;
-
-  /// Out-param forms for the serving layer's read path: the attribute is
-  /// looked up heterogeneously (no temporary std::string for a name
-  /// sliced out of a URL) and the caller's scratch is filled in place, so
-  /// a warmed handler answers with zero allocations.  Same error contract
-  /// as the by-value forms.
-  Status HotListForInto(std::string_view attribute, const HotListQuery& query,
-                        QueryResponse<HotList>* response) const;
+  /// Per-attribute ingest counters and per-synopsis cache/footprint stats,
+  /// filled into the caller's scratch in place, so a warmed stats endpoint
+  /// reports with zero allocations.
   Status StatsForInto(std::string_view attribute, RegistryStats* out) const;
 
   /// Total words currently used across all registries (<= budget in
@@ -154,8 +152,6 @@ class SynopsisCatalog {
     std::unique_ptr<SynopsisRegistry> registry;
   };
 
-  Result<const SynopsisRegistry*> RegistryFor(
-      std::string_view attribute) const;
   Result<SynopsisRegistry*> MutableRegistryFor(const std::string& attribute);
 
   Words budget_;

@@ -7,10 +7,7 @@
 
 #include "core/concise_sample.h"
 #include "core/counting_sample.h"
-#include "estimate/aggregates.h"
-#include "hotlist/hot_list.h"
 #include "registry/builtin.h"
-#include "registry/query_response.h"
 #include "registry/registry.h"
 #include "sample/reservoir_sample.h"
 #include "sketch/flajolet_martin.h"
@@ -41,18 +38,18 @@ SynopsisDescriptor<FullHistogram> FullHistogramDescriptor(
 ///
 /// This is a thin single-threaded driver over a SynopsisRegistry: the
 /// selected built-in synopses are registered at construction, queries go
-/// through the registry's single accuracy-ordered answer path (§6's accuracy
-/// ordering — hot lists prefer the counting sample, then concise, then
-/// traditional), and deletions flow to each synopsis per its declared
-/// DeleteBehavior (§4.1: concise/traditional samples are invalidated by
-/// the first delete; counting samples and the full histogram apply it
-/// exactly).
+/// through the planner on registry() (RunPlannedQueryInto in
+/// plan/planner.h; unbounded queries follow §6's accuracy ordering — hot
+/// lists prefer the counting sample, then concise, then traditional), and
+/// deletions flow to each synopsis per its declared DeleteBehavior (§4.1:
+/// concise/traditional samples are invalidated by the first delete;
+/// counting samples and the full histogram apply it exactly).
 class ApproximateAnswerEngine {
  public:
   explicit ApproximateAnswerEngine(const EngineOptions& options);
 
-  /// Registers an additional synopsis served through the same answer path
-  /// (call before the first Observe).
+  /// Registers an additional synopsis the planner can answer from (call
+  /// before the first Observe).
   template <RegistrableSynopsis S>
   Status RegisterSynopsis(SynopsisDescriptor<S> descriptor) {
     return registry_.Register(std::move(descriptor));
@@ -69,40 +66,6 @@ class ApproximateAnswerEngine {
   /// Observe().  Statistically identical to observing op-by-op.
   Status ObserveBatch(std::span<const StreamOp> ops) {
     return registry_.ObserveBatch(ops);
-  }
-
-  /// Hot list from the most accurate maintained synopsis.
-  QueryResponse<HotList> HotListAnswer(const HotListQuery& query) const {
-    return registry_.HotListAnswer(query);
-  }
-
-  /// Estimated frequency of one value.
-  QueryResponse<Estimate> FrequencyAnswer(Value value) const {
-    return registry_.FrequencyAnswer(value);
-  }
-
-  /// Estimated COUNT(*) WHERE pred, from the best available uniform sample.
-  QueryResponse<Estimate> CountWhereAnswer(const ValuePredicate& pred,
-                                           double confidence = 0.95) const {
-    return registry_.CountWhereAnswer(pred, confidence);
-  }
-
-  /// Range form of CountWhere (identical estimate; serving-layer drivers
-  /// answer it from value-ordered views in O(log m)).
-  QueryResponse<Estimate> CountWhereAnswer(const ValueRange& range,
-                                           double confidence = 0.95) const {
-    return registry_.CountWhereAnswer(range, confidence);
-  }
-
-  /// Estimated number of distinct values.
-  QueryResponse<Estimate> DistinctValuesAnswer() const {
-    return registry_.DistinctValuesAnswer();
-  }
-
-  /// Estimated q-quantile of the relation's values.
-  QueryResponse<Estimate> QuantileAnswer(double q,
-                                         double confidence = 0.95) const {
-    return registry_.QuantileAnswer(q, confidence);
   }
 
   /// Direct access to the maintained synopses (null when not maintained or

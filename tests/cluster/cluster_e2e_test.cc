@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster_util.h"
+#include "plan/planner.h"
 #include "property/seed_sweep.h"
 #include "server/cluster.h"
 #include "server/e2e_util.h"
@@ -110,15 +111,22 @@ std::unique_ptr<ServingEngine> MakeOracle(Words footprint,
   return oracle;
 }
 
-std::string ExpectedEstimateJson(const QueryResponse<Estimate>& response) {
+/// The oracle's unbounded plan for `query`.
+PlannedResponse Ask(const ServingEngine& oracle, const PlannedQuery& query) {
+  PlannedResponse response;
+  RunPlannedQueryInto(oracle.registry(), query, &response);
+  return response;
+}
+
+std::string ExpectedEstimateJson(const PlannedResponse& response) {
   std::string out;
   JsonWriter w(&out);
   w.BeginObject();
-  w.Key("estimate").Double(response.answer.value);
-  w.Key("ci_low").Double(response.answer.ci_low);
-  w.Key("ci_high").Double(response.answer.ci_high);
-  w.Key("confidence").Double(response.answer.confidence);
-  w.Key("sample_points").Int(response.answer.sample_points);
+  w.Key("estimate").Double(response.estimate.value);
+  w.Key("ci_low").Double(response.estimate.ci_low);
+  w.Key("ci_high").Double(response.estimate.ci_high);
+  w.Key("confidence").Double(response.estimate.confidence);
+  w.Key("sample_points").Int(response.estimate.sample_points);
   w.Key("method").String(response.method);
   w.EndObject();
   return out;
@@ -158,17 +166,15 @@ TEST(ClusterE2eTest, TwoIngestClusterMatchesOracleExactly) {
   const RawResponse hotlist =
       Fetch(aggregator.port(), "/hotlist?k=10&beta=2");
   ASSERT_EQ(hotlist.status, 200) << hotlist.body;
-  HotListQuery query;
-  query.k = 10;
-  query.beta = 2.0;
-  const QueryResponse<HotList> expected_hot = oracle->HotListAnswer(query);
-  ASSERT_FALSE(expected_hot.answer.empty());
+  const PlannedResponse expected_hot =
+      Ask(*oracle, {.kind = QueryKind::kHotList, .k = 10, .beta = 2});
+  ASSERT_FALSE(expected_hot.hotlist.empty());
   std::string expected_hot_json;
   {
     JsonWriter w(&expected_hot_json);
     w.BeginObject();
     w.Key("items").BeginArray();
-    for (const HotListItem& item : expected_hot.answer) {
+    for (const HotListItem& item : expected_hot.hotlist) {
       w.BeginObject();
       w.Key("value").Int(item.value);
       w.Key("estimated_count").Double(item.estimated_count);
@@ -188,19 +194,22 @@ TEST(ClusterE2eTest, TwoIngestClusterMatchesOracleExactly) {
                                   "/frequency?value=" + std::to_string(v));
     ASSERT_EQ(got.status, 200) << got.body;
     EXPECT_EQ(StripResponseNs(got.body),
-              ExpectedEstimateJson(oracle->FrequencyAnswer(v)))
+              ExpectedEstimateJson(
+                  Ask(*oracle, {.kind = QueryKind::kFrequency, .value = v})))
         << "value=" << v;
   }
   const RawResponse counted =
       Fetch(aggregator.port(), "/count_where?low=5&high=25");
   ASSERT_EQ(counted.status, 200) << counted.body;
   EXPECT_EQ(StripResponseNs(counted.body),
-            ExpectedEstimateJson(
-                oracle->CountWhereAnswer(ValueRange{5, 25}, 0.95)));
+            ExpectedEstimateJson(Ask(
+                *oracle,
+                {.kind = QueryKind::kCountWhere, .range = {5, 25}})));
   const RawResponse quantile = Fetch(aggregator.port(), "/quantile?q=0.5");
   ASSERT_EQ(quantile.status, 200) << quantile.body;
   EXPECT_EQ(StripResponseNs(quantile.body),
-            ExpectedEstimateJson(oracle->QuantileAnswer(0.5, 0.95)));
+            ExpectedEstimateJson(
+                Ask(*oracle, {.kind = QueryKind::kQuantile, .q = 0.5})));
 
   // Cluster ingest roles drop the counting sample, so /delete answers 409
   // (no delete-capable synopsis) instead of silently diverging.

@@ -52,7 +52,7 @@ SnapshotCache<ConciseEpoch> MakeCache(ShardedSynopsis<ConciseSample>& sharded,
       [&sharded]() -> Result<ConciseEpoch> {
         AQUA_ASSIGN_OR_RETURN(ConciseSample merged, sharded.Snapshot());
         ConciseEpoch state{std::move(merged), std::nullopt, 0};
-        state.view.emplace(BuildConciseView(state.snapshot));
+        state.view.emplace(BuildConciseViewSpec(state.snapshot));
         return state;
       },
       {.max_stale_ops = max_stale_ops,

@@ -7,15 +7,17 @@
 //     least ~confidence of the time.  Statistical, so it runs under the
 //     seed-sweep budget (tests/property/seed_sweep.h).
 //
-//  2. An unbounded planned query must be BIT-IDENTICAL to the legacy
-//     dedicated route for every query kind — same synopsis, same estimate
-//     doubles, same hot-list items.  Structural, so it holds on every
-//     seed with no failure budget.
+//  2. An unbounded planned query must be BIT-IDENTICAL to what the
+//     dedicated routes serve — the first valid handle's own pinned answer
+//     — for every query kind, before and after a delete invalidates the
+//     samples: same synopsis, same estimate doubles, same hot-list items.
+//     Structural, so it holds on every seed with no failure budget.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "plan/planner.h"
@@ -81,69 +83,91 @@ TEST(PlannerPropertyTest, AchievedErrorCoversTrueErrorAtConfidence) {
   });
 }
 
+/// The answer the dedicated routes serve, computed without the planner:
+/// the first valid candidate for the query's kind, pinned and asked
+/// directly.
+PlannedResponse FirstValidHandleAnswer(const SynopsisRegistry& registry,
+                                       const PlannedQuery& query) {
+  PlannedResponse answer;
+  const QueryContext ctx{registry.observed_inserts()};
+  PinnedAnswerSource pinned;
+  for (const SynopsisHandle* handle : registry.HandlesFor(query.kind)) {
+    if (!handle->valid()) continue;
+    const AnswerSource* source = handle->PinInto(pinned);
+    if (source == nullptr) break;
+    answer.method = source->Method();
+    const double confidence = query.bound.confidence;
+    switch (query.kind) {
+      case QueryKind::kHotList:
+        source->HotListAnswerInto({.k = query.k, .beta = query.beta}, ctx,
+                                  &answer.hotlist);
+        break;
+      case QueryKind::kFrequency:
+        answer.estimate = source->FrequencyAnswer(query.value, ctx);
+        break;
+      case QueryKind::kCountWhere:
+        answer.estimate =
+            source->CountWhereRangeAnswer(query.range, confidence, ctx);
+        break;
+      case QueryKind::kDistinct:
+        answer.estimate = source->DistinctAnswer(ctx);
+        break;
+      case QueryKind::kQuantile:
+        answer.estimate = source->QuantileAnswer(query.q, confidence, ctx);
+        break;
+    }
+    break;
+  }
+  return answer;
+}
+
+void ExpectBitIdentical(const PlannedResponse& planned,
+                        const PlannedResponse& direct, const char* what) {
+  EXPECT_EQ(planned.method, direct.method) << what;
+  EXPECT_EQ(planned.estimate.value, direct.estimate.value) << what;
+  EXPECT_EQ(planned.estimate.ci_low, direct.estimate.ci_low) << what;
+  EXPECT_EQ(planned.estimate.ci_high, direct.estimate.ci_high) << what;
+  EXPECT_EQ(planned.estimate.confidence, direct.estimate.confidence) << what;
+  EXPECT_EQ(planned.estimate.sample_points, direct.estimate.sample_points)
+      << what;
+  ASSERT_EQ(planned.hotlist.size(), direct.hotlist.size()) << what;
+  for (std::size_t i = 0; i < direct.hotlist.size(); ++i) {
+    EXPECT_EQ(planned.hotlist[i].value, direct.hotlist[i].value) << i;
+    EXPECT_EQ(planned.hotlist[i].estimated_count,
+              direct.hotlist[i].estimated_count)
+        << i;
+    EXPECT_EQ(planned.hotlist[i].synopsis_count,
+              direct.hotlist[i].synopsis_count)
+        << i;
+  }
+}
+
 TEST(PlannerPropertyTest, UnboundedPlannedQueryBitIdenticalToLegacyRoutes) {
+  const std::vector<std::pair<PlannedQuery, const char*>> queries = {
+      {{.kind = QueryKind::kHotList, .k = 10}, "hotlist"},
+      {{.kind = QueryKind::kHotList, .k = 0, .beta = 1.5}, "hotlist beta"},
+      {{.kind = QueryKind::kFrequency, .value = 1}, "frequency"},
+      {{.kind = QueryKind::kCountWhere, .range = {10, 210}}, "count_where"},
+      {{.kind = QueryKind::kDistinct}, "distinct"},
+      {{.kind = QueryKind::kQuantile, .q = 0.9, .bound = {.confidence = 0.99}},
+       "quantile"},
+  };
   for (const std::uint64_t seed : kSweepSeeds) {
     ApproximateAnswerEngine engine(EngineOptions{});
     for (Value v : ZipfValues(25000, 400, 1.2, seed)) {
       ASSERT_TRUE(engine.Observe(StreamOp::Insert(v)).ok());
     }
     const SynopsisRegistry& registry = engine.registry();
-    PlannedResponse response;
-
-    const auto expect_same_estimate = [&](const QueryResponse<Estimate>& legacy,
-                                          const char* what) {
-      EXPECT_EQ(response.method, legacy.method) << what;
-      EXPECT_EQ(response.estimate.value, legacy.answer.value) << what;
-      EXPECT_EQ(response.estimate.ci_low, legacy.answer.ci_low) << what;
-      EXPECT_EQ(response.estimate.ci_high, legacy.answer.ci_high) << what;
-      EXPECT_EQ(response.estimate.confidence, legacy.answer.confidence)
-          << what;
-      EXPECT_EQ(response.estimate.sample_points, legacy.answer.sample_points)
-          << what;
-    };
-
-    PlannedQuery query;
-    query.kind = QueryKind::kCountWhere;
-    query.range = ValueRange{10, 210};
-    RunPlannedQueryInto(registry, query, &response);
-    expect_same_estimate(registry.CountWhereAnswer(query.range, 0.95),
-                         "count_where");
-
-    query = PlannedQuery{};
-    query.kind = QueryKind::kFrequency;
-    query.value = 1;
-    RunPlannedQueryInto(registry, query, &response);
-    expect_same_estimate(registry.FrequencyAnswer(1), "frequency");
-
-    query = PlannedQuery{};
-    query.kind = QueryKind::kDistinct;
-    RunPlannedQueryInto(registry, query, &response);
-    expect_same_estimate(registry.DistinctValuesAnswer(), "distinct");
-
-    query = PlannedQuery{};
-    query.kind = QueryKind::kQuantile;
-    query.q = 0.9;
-    RunPlannedQueryInto(registry, query, &response);
-    expect_same_estimate(registry.QuantileAnswer(0.9, 0.95), "quantile");
-
-    query = PlannedQuery{};
-    query.kind = QueryKind::kHotList;
-    query.k = 10;
-    RunPlannedQueryInto(registry, query, &response);
-    HotListQuery legacy_query;
-    legacy_query.k = 10;
-    const QueryResponse<HotList> legacy =
-        registry.HotListAnswer(legacy_query);
-    EXPECT_EQ(response.method, legacy.method);
-    ASSERT_EQ(response.hotlist.size(), legacy.answer.size());
-    for (std::size_t i = 0; i < legacy.answer.size(); ++i) {
-      EXPECT_EQ(response.hotlist[i].value, legacy.answer[i].value) << i;
-      EXPECT_EQ(response.hotlist[i].estimated_count,
-                legacy.answer[i].estimated_count)
-          << i;
-      EXPECT_EQ(response.hotlist[i].synopsis_count,
-                legacy.answer[i].synopsis_count)
-          << i;
+    // Before and after a delete invalidates the concise and traditional
+    // samples: the fallback must land where the accuracy order does.
+    for (int round = 0; round < 2; ++round) {
+      PlannedResponse planned;
+      for (const auto& [query, what] : queries) {
+        RunPlannedQueryInto(registry, query, &planned);
+        ExpectBitIdentical(planned, FirstValidHandleAnswer(registry, query),
+                           what);
+      }
+      ASSERT_TRUE(engine.Observe(StreamOp::Delete(1)).ok());
     }
   }
 }

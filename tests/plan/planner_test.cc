@@ -1,9 +1,10 @@
-// Planner selection tests: unbounded plans must reproduce the legacy
+// Planner selection tests: unbounded plans must reproduce the
 // accuracy-ordered selection exactly (the §6 ordering the dedicated routes
-// serve), error bounds must pick the cheapest feasible synopsis off the
-// live cost/error model, and deadlines must select against the *measured*
-// per-kind latency profiles — driven here synthetically via RecordLatency
-// so the test controls what the planner believes each option costs.
+// serve: the first candidate that pins), error bounds must pick the
+// cheapest feasible synopsis off the live cost/error model, and deadlines
+// must select against the *measured* per-kind latency profiles — driven
+// here synthetically via RecordLatency so the test controls what the
+// planner believes each option costs.
 
 #include "plan/planner.h"
 
@@ -74,10 +75,30 @@ struct TwoSynopsisFixture {
   }
 };
 
+/// The accuracy-ordered selection, computed without the planner: the first
+/// candidate for `kind` that pins.
+std::string_view FirstPinnable(const SynopsisRegistry& registry,
+                               QueryKind kind) {
+  PinnedAnswerSource pinned;
+  for (const SynopsisHandle* handle : registry.HandlesFor(kind)) {
+    if (handle->PinInto(pinned) != nullptr) return handle->Name();
+  }
+  return "none";
+}
+
+/// The synopsis an executed unbounded plan answered from.
+std::string_view AnsweredBy(const SynopsisRegistry& registry,
+                            QueryKind kind) {
+  PlannedResponse response;
+  RunPlannedQueryInto(registry, {.kind = kind}, &response);
+  return response.method;
+}
+
 TEST(PlannerTest, UnboundedPlanMatchesLegacySelection) {
   TwoSynopsisFixture f;
   // No bounds: first valid candidate in accuracy order — the selection the
-  // legacy answer path makes, regardless of any recorded latencies.
+  // dedicated routes have always made, regardless of any recorded
+  // latencies.
   f.coarse->RecordLatency(QueryKind::kDistinct, false, 10);
   f.fine->RecordLatency(QueryKind::kDistinct, false, 1000000);
   const PlanChoice plan =
@@ -87,7 +108,9 @@ TEST(PlannerTest, UnboundedPlanMatchesLegacySelection) {
   EXPECT_TRUE(plan.meets_error);
   EXPECT_TRUE(plan.meets_deadline);
   EXPECT_EQ(plan.handle->Name(),
-            f.registry.DistinctValuesAnswer().method);
+            FirstPinnable(f.registry, QueryKind::kDistinct));
+  EXPECT_EQ(plan.handle->Name(),
+            AnsweredBy(f.registry, QueryKind::kDistinct));
 }
 
 TEST(PlannerTest, UnboundedPlanMatchesLegacyOnEveryBuiltinKind) {
@@ -102,24 +125,19 @@ TEST(PlannerTest, UnboundedPlanMatchesLegacyOnEveryBuiltinKind) {
     return plan.handle == nullptr ? std::string_view("none")
                                   : plan.handle->Name();
   };
-  EXPECT_EQ(planned_method(QueryKind::kHotList),
-            registry.HotListAnswer(HotListQuery{}).method);
-  EXPECT_EQ(planned_method(QueryKind::kFrequency),
-            registry.FrequencyAnswer(3).method);
-  EXPECT_EQ(planned_method(QueryKind::kCountWhere),
-            registry.CountWhereAnswer(ValueRange{0, 100}, 0.95).method);
-  EXPECT_EQ(planned_method(QueryKind::kDistinct),
-            registry.DistinctValuesAnswer().method);
-  EXPECT_EQ(planned_method(QueryKind::kQuantile),
-            registry.QuantileAnswer(0.5, 0.95).method);
+  for (int kind = 0; kind < kNumQueryKinds; ++kind) {
+    const QueryKind k = static_cast<QueryKind>(kind);
+    EXPECT_EQ(planned_method(k), FirstPinnable(registry, k)) << kind;
+    EXPECT_EQ(planned_method(k), AnsweredBy(registry, k)) << kind;
+  }
 
   // Invalidate the concise sample (a delete) and the planner must fall
-  // back exactly where the legacy path falls back.
+  // back exactly where the accuracy order falls back.
   ASSERT_TRUE(engine.Observe(StreamOp::Delete(1)).ok());
-  EXPECT_EQ(planned_method(QueryKind::kCountWhere),
-            registry.CountWhereAnswer(ValueRange{0, 100}, 0.95).method);
-  EXPECT_EQ(planned_method(QueryKind::kQuantile),
-            registry.QuantileAnswer(0.5, 0.95).method);
+  for (const QueryKind k : {QueryKind::kCountWhere, QueryKind::kQuantile}) {
+    EXPECT_EQ(planned_method(k), FirstPinnable(registry, k));
+    EXPECT_EQ(planned_method(k), AnsweredBy(registry, k));
+  }
 }
 
 TEST(PlannerTest, ErrorBoundPicksCheapestFeasibleSynopsis) {

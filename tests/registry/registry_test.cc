@@ -1,7 +1,7 @@
 // Tests of the type-erased synopsis registry: one descriptor registered
 // once must be served by BOTH engines through the same accuracy-ordered
-// answer path (the acceptance criterion for collapsing the per-engine
-// method selection), capabilities must gate the concurrent machinery
+// planner (the acceptance criterion for collapsing the per-engine method
+// selection), capabilities must gate the concurrent machinery
 // (mergeable synopses shard, unmergeable ones stay single-instance), and
 // descriptor validation must reject incoherent cost/error models.
 
@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "plan/planner.h"
 #include "registry/builtin.h"
 #include "server/serving_engine.h"
 #include "warehouse/engine.h"
@@ -61,6 +62,16 @@ std::int64_t TrueDistinct(const std::vector<Value>& values) {
       std::set<Value>(values.begin(), values.end()).size());
 }
 
+/// One unbounded plan on `registry`.
+PlannedResponse Ask(const SynopsisRegistry& registry,
+                    const PlannedQuery& query) {
+  PlannedResponse response;
+  RunPlannedQueryInto(registry, query, &response);
+  return response;
+}
+
+const PlannedQuery kDistinct = {.kind = QueryKind::kDistinct};
+
 // The tentpole's acceptance test: ONE descriptor, registered once per
 // driver, served by both the single-threaded engine and the concurrent
 // serving engine — same method tag, same exact answer, and it outranks the
@@ -72,18 +83,18 @@ TEST(SynopsisRegistryTest, CustomSynopsisServedByBothEngines) {
   ApproximateAnswerEngine engine(EngineOptions{});
   ASSERT_TRUE(engine.RegisterSynopsis(ExactDistinctDescriptor()).ok());
   for (Value v : stream) ASSERT_TRUE(engine.Observe(StreamOp::Insert(v)).ok());
-  const auto warehouse_answer = engine.DistinctValuesAnswer();
+  const auto warehouse_answer = Ask(engine.registry(), kDistinct);
   EXPECT_EQ(warehouse_answer.method, "exact-distinct");
-  EXPECT_DOUBLE_EQ(warehouse_answer.answer.value, truth);
+  EXPECT_DOUBLE_EQ(warehouse_answer.estimate.value, truth);
 
   ServingEngineOptions serving_options;
   serving_options.shards = 4;
   ServingEngine serving(serving_options);
   ASSERT_TRUE(serving.RegisterSynopsis(ExactDistinctDescriptor()).ok());
   serving.InsertBatch(stream);
-  const auto serving_answer = serving.DistinctValuesAnswer();
+  const auto serving_answer = Ask(serving.registry(), kDistinct);
   EXPECT_EQ(serving_answer.method, "exact-distinct");
-  EXPECT_DOUBLE_EQ(serving_answer.answer.value, truth);
+  EXPECT_DOUBLE_EQ(serving_answer.estimate.value, truth);
 }
 
 TEST(SynopsisRegistryTest, CapabilitiesGateShardingAndCaching) {
@@ -193,8 +204,8 @@ TEST(SynopsisRegistryTest, CostErrorModelIsLiveAndMeasured) {
   // Answering feeds the measured latency profile on the path taken.
   EXPECT_EQ(concise->LatencyFor(QueryKind::kCountWhere).direct_observations,
             0);
-  const auto response =
-      engine.registry().CountWhereAnswer(ValueRange{1, 100}, 0.95);
+  const auto response = Ask(
+      engine.registry(), {.kind = QueryKind::kCountWhere, .range = {1, 100}});
   EXPECT_EQ(response.method, kConciseSynopsisName);
   const LatencyProfile profile = concise->LatencyFor(QueryKind::kCountWhere);
   EXPECT_GE(profile.direct_observations, 1);
@@ -204,7 +215,7 @@ TEST(SynopsisRegistryTest, CostErrorModelIsLiveAndMeasured) {
 TEST(SynopsisRegistryTest, AccuracyOrderSelectsBestThenFallsBack) {
   // Two synopses answer the same kind; the better accuracy class must
   // serve until a delete invalidates it, then the worse one takes over —
-  // the single answer path both engines now share.
+  // the planner's unbounded choice, which both engines share.
   SynopsisRegistry registry(SynopsisRegistry::Options{});
   ASSERT_TRUE(registry
                   .Register(ExactDistinctDescriptor(
@@ -220,11 +231,11 @@ TEST(SynopsisRegistryTest, AccuracyOrderSelectsBestThenFallsBack) {
   for (Value v : UniformValues(500, 50, 3)) {
     ASSERT_TRUE(registry.Observe(StreamOp::Insert(v)).ok());
   }
-  EXPECT_EQ(registry.DistinctValuesAnswer().method, "fragile-distinct");
+  EXPECT_EQ(Ask(registry, kDistinct).method, "fragile-distinct");
 
   ASSERT_TRUE(registry.Delete(1).ok());
   EXPECT_FALSE(registry.handle("fragile-distinct")->valid());
-  EXPECT_EQ(registry.DistinctValuesAnswer().method, "sturdy-distinct");
+  EXPECT_EQ(Ask(registry, kDistinct).method, "sturdy-distinct");
 
   // Invalidated handles stop counting toward the footprint.
   for (const SynopsisHandleStats& s : registry.GetStats().synopses) {
@@ -280,9 +291,9 @@ TEST(SynopsisRegistryTest, DeleteBehaviorsRouteIndependently) {
   EXPECT_EQ(engine.concise(), nullptr);              // kInvalidates
   ASSERT_NE(engine.counting(), nullptr);             // kApplies
   EXPECT_EQ(engine.counting()->CountOf(3), 49);
-  const auto distinct = engine.DistinctValuesAnswer();  // kIgnores
+  const auto distinct = Ask(engine.registry(), kDistinct);  // kIgnores
   EXPECT_EQ(distinct.method, "exact-distinct");
-  EXPECT_DOUBLE_EQ(distinct.answer.value, 10.0);
+  EXPECT_DOUBLE_EQ(distinct.estimate.value, 10.0);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Shared helpers for end-to-end tests that spawn the real aqua_serve
 // binary (injected by CMake as AQUA_SERVE_BINARY): process spawning with
 // port discovery, a minimal raw-socket HTTP/1.1 client, and response
-// normalization.
+// normalization.  Tests that run the server in-process use the client
+// and normalization only; ServerProcess needs AQUA_SERVE_BINARY.
 #ifndef AQUA_TESTS_SERVER_E2E_UTIL_H_
 #define AQUA_TESTS_SERVER_E2E_UTIL_H_
 
@@ -27,6 +28,7 @@
 
 namespace aqua::e2e {
 
+#ifdef AQUA_SERVE_BINARY
 /// A spawned aqua_serve process: fork/exec with stdout piped back so the
 /// test can read the "listening on ADDR:PORT" line.
 class ServerProcess {
@@ -116,6 +118,7 @@ class ServerProcess {
   int stdout_fd_ = -1;
   std::uint16_t port_ = 0;
 };
+#endif  // AQUA_SERVE_BINARY
 
 /// A raw HTTP/1.1 response: status code + body.
 struct RawResponse {

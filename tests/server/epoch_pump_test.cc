@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "plan/planner.h"
 #include "server/serving_engine.h"
 #include "workload/generators.h"
 
@@ -151,13 +152,15 @@ TEST(EpochPumpTest, PumpOwnsEveryRefreshUnderChurn) {
   }
   for (int t = 0; t < kQueryThreads; ++t) {
     threads.emplace_back([&engine, &done] {
-      HotListQuery hot;
-      hot.k = 10;
+      PlannedResponse response;
       while (!done.load(std::memory_order_acquire)) {
-        (void)engine.HotListAnswer(hot);
-        (void)engine.FrequencyAnswer(7);
-        (void)engine.QuantileAnswer(0.5);
-        (void)engine.DistinctValuesAnswer();
+        for (const PlannedQuery& query :
+             {PlannedQuery{.kind = QueryKind::kHotList, .k = 10},
+              PlannedQuery{.kind = QueryKind::kFrequency, .value = 7},
+              PlannedQuery{.kind = QueryKind::kQuantile},
+              PlannedQuery{.kind = QueryKind::kDistinct}}) {
+          RunPlannedQueryInto(engine.registry(), query, &response);
+        }
       }
     });
   }

@@ -124,6 +124,21 @@ TEST(HttpParserTest, MalformedQueryNumbersAreNullopt) {
   EXPECT_EQ(request.QueryInt("missing", 7), 7);          // absent: fallback
 }
 
+TEST(HttpParserTest, NonFiniteQueryDoublesAreNullopt) {
+  // from_chars parses every one of these; a NaN would pass the routes'
+  // range checks, so QueryDouble must refuse them all.
+  for (const char* raw : {"nan", "NAN", "inf", "-inf", "infinity", "1e999"}) {
+    HttpRequestParser parser;
+    ASSERT_EQ(parser.Feed("GET /q?x=" + std::string(raw) +
+                          "&y=0.25 HTTP/1.1\r\n\r\n"),
+              HttpRequestParser::State::kComplete)
+        << raw;
+    const HttpRequest request = parser.TakeRequest();
+    EXPECT_EQ(request.QueryDouble("x", 0.5), std::nullopt) << raw;
+    EXPECT_EQ(request.QueryDouble("y", 0.5), 0.25) << raw;
+  }
+}
+
 TEST(HttpResponseTest, SerializesStatusAndFraming) {
   HttpResponse response;
   response.status_code = 503;

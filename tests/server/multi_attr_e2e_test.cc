@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "plan/planner.h"
 #include "server/e2e_util.h"
 #include "server/json.h"
 #include "warehouse/catalog.h"
@@ -72,14 +73,23 @@ class CatalogE2eTest : public ::testing::Test {
     ASSERT_TRUE(reference_.InsertBatch("region", regions).ok());
   }
 
+  /// The reference's unbounded plan for `query` on the attribute.
+  PlannedResponse Expected(const std::string& attribute,
+                           const PlannedQuery& query) {
+    PlannedResponse expected;
+    const SynopsisRegistry* registry = reference_.registry(attribute);
+    EXPECT_NE(registry, nullptr) << attribute;
+    if (registry != nullptr) RunPlannedQueryInto(*registry, query, &expected);
+    return expected;
+  }
+
   std::string ExpectedHotListJson(const std::string& attribute,
-                                  const HotListQuery& query) {
-    const auto expected = reference_.HotListFor(attribute, query);
-    EXPECT_TRUE(expected.ok());
+                                  const PlannedQuery& query) {
+    const PlannedResponse expected = Expected(attribute, query);
     JsonWriter w;
     w.BeginObject();
     w.Key("items").BeginArray();
-    for (const HotListItem& item : expected->answer) {
+    for (const HotListItem& item : expected.hotlist) {
       w.BeginObject();
       w.Key("value").Int(item.value);
       w.Key("estimated_count").Double(item.estimated_count);
@@ -87,22 +97,22 @@ class CatalogE2eTest : public ::testing::Test {
       w.EndObject();
     }
     w.EndArray();
-    w.Key("method").String(expected->method);
+    w.Key("method").String(expected.method);
     w.EndObject();
     return w.TakeString();
   }
 
   std::string ExpectedFrequencyJson(const std::string& attribute, Value v) {
-    const auto expected = reference_.FrequencyFor(attribute, v);
-    EXPECT_TRUE(expected.ok());
+    const PlannedResponse expected =
+        Expected(attribute, {.kind = QueryKind::kFrequency, .value = v});
     JsonWriter w;
     w.BeginObject();
-    w.Key("estimate").Double(expected->answer.value);
-    w.Key("ci_low").Double(expected->answer.ci_low);
-    w.Key("ci_high").Double(expected->answer.ci_high);
-    w.Key("confidence").Double(expected->answer.confidence);
-    w.Key("sample_points").Int(expected->answer.sample_points);
-    w.Key("method").String(expected->method);
+    w.Key("estimate").Double(expected.estimate.value);
+    w.Key("ci_low").Double(expected.estimate.ci_low);
+    w.Key("ci_high").Double(expected.estimate.ci_high);
+    w.Key("confidence").Double(expected.estimate.confidence);
+    w.Key("sample_points").Int(expected.estimate.sample_points);
+    w.Key("method").String(expected.method);
     w.EndObject();
     return w.TakeString();
   }
@@ -113,9 +123,7 @@ class CatalogE2eTest : public ::testing::Test {
 
 TEST_F(CatalogE2eTest, HotListsMatchInProcessCatalogPerAttribute) {
   IngestBoth();
-  HotListQuery query;
-  query.k = 8;
-  query.beta = 3.0;
+  const PlannedQuery query = {.kind = QueryKind::kHotList, .k = 8, .beta = 3};
   for (const std::string attribute : {"item", "region"}) {
     const RawResponse got =
         Fetch(server_.port(), "/attr/" + attribute + "/hotlist?k=8&beta=3");

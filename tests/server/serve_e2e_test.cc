@@ -5,6 +5,7 @@
 //    the identical stream (the server is run with --shards 1 so snapshot
 //    contents are deterministic: a single-shard snapshot is a copy, and no
 //    merge randomness enters the answer),
+//  - NaN and infinite query parameters answer 400 instead of aborting,
 //  - overload answers 503 (one worker + queue capacity 1 + a debug request
 //    that holds the worker),
 //  - SIGTERM drains gracefully with exit code 0.
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "plan/planner.h"
 #include "server/e2e_util.h"
 #include "server/json.h"
 #include "server/serving_engine.h"
@@ -58,14 +60,14 @@ TEST(ServeE2eTest, HotListMatchesInProcessEngine) {
   const RawResponse got = Fetch(server.port(), "/hotlist?k=10&beta=3");
   ASSERT_EQ(got.status, 200) << got.body;
 
-  HotListQuery query;
-  query.k = 10;
-  query.beta = 3.0;
-  const QueryResponse<HotList> expected = reference.HotListAnswer(query);
+  PlannedResponse expected;
+  RunPlannedQueryInto(reference.registry(),
+                      {.kind = QueryKind::kHotList, .k = 10, .beta = 3},
+                      &expected);
   JsonWriter w;
   w.BeginObject();
   w.Key("items").BeginArray();
-  for (const HotListItem& item : expected.answer) {
+  for (const HotListItem& item : expected.hotlist) {
     w.BeginObject();
     w.Key("value").Int(item.value);
     w.Key("estimated_count").Double(item.estimated_count);
@@ -75,7 +77,7 @@ TEST(ServeE2eTest, HotListMatchesInProcessEngine) {
   w.EndArray();
   w.Key("method").String(expected.method);
   w.EndObject();
-  EXPECT_FALSE(expected.answer.empty());
+  EXPECT_FALSE(expected.hotlist.empty());
   EXPECT_EQ(StripResponseNs(got.body), w.str());
   EXPECT_EQ(expected.method, "counting-sample");
 }
@@ -91,14 +93,17 @@ TEST(ServeE2eTest, FrequencyMatchesInProcessEngine) {
     const RawResponse got =
         Fetch(server.port(), "/frequency?value=" + std::to_string(v));
     ASSERT_EQ(got.status, 200) << got.body;
-    const QueryResponse<Estimate> expected = reference.FrequencyAnswer(v);
+    PlannedResponse expected;
+    RunPlannedQueryInto(reference.registry(),
+                        {.kind = QueryKind::kFrequency, .value = v},
+                        &expected);
     JsonWriter w;
     w.BeginObject();
-    w.Key("estimate").Double(expected.answer.value);
-    w.Key("ci_low").Double(expected.answer.ci_low);
-    w.Key("ci_high").Double(expected.answer.ci_high);
-    w.Key("confidence").Double(expected.answer.confidence);
-    w.Key("sample_points").Int(expected.answer.sample_points);
+    w.Key("estimate").Double(expected.estimate.value);
+    w.Key("ci_low").Double(expected.estimate.ci_low);
+    w.Key("ci_high").Double(expected.estimate.ci_high);
+    w.Key("confidence").Double(expected.estimate.confidence);
+    w.Key("sample_points").Int(expected.estimate.sample_points);
     w.Key("method").String(expected.method);
     w.EndObject();
     EXPECT_EQ(StripResponseNs(got.body), w.str()) << "value=" << v;
@@ -155,6 +160,25 @@ TEST(ServeE2eTest, OverloadAnswers503) {
 
   const RawResponse stats = Fetch(server.port(), "/stats");
   EXPECT_NE(stats.body.find("\"responses_503\":"), std::string::npos);
+}
+
+TEST(ServeE2eTest, NonFiniteParametersAnswer400AndTheServerSurvives) {
+  ServerProcess server({"--shards", "1", "--attr", "price", "--preload-zipf",
+                        PreloadFlag()});
+  for (const std::string value :
+       {"nan", "NAN", "inf", "-inf", "infinity", "1e999"}) {
+    for (const std::string prefix : {"/", "/attr/price/"}) {
+      for (const std::string query :
+           {"quantile?q=", "quantile?confidence=", "count_where?confidence=",
+            "hotlist?beta="}) {
+        const std::string target = prefix + query + value;
+        EXPECT_EQ(Fetch(server.port(), target).status, 400) << target;
+      }
+    }
+  }
+  EXPECT_EQ(Fetch(server.port(), "/healthz").status, 200);
+  EXPECT_EQ(Fetch(server.port(), "/quantile?q=0.5").status, 200);
+  EXPECT_EQ(server.TerminateAndWait(), 0);
 }
 
 TEST(ServeE2eTest, SigtermDrainsCleanly) {

@@ -148,8 +148,15 @@ TEST(FrozenViewTest, CountWhereRangeMatchesPredicateScan) {
   for (const ValueRange& range : ranges) {
     SCOPED_TRACE(testing::Message() << "range [" << range.low << ", "
                                     << range.high << "]");
+    // Reference: a folded-entry scan with the range as a predicate.
+    std::int64_t hits = 0;
+    for (const ValueCount& e : view.ByValueOrder()) {
+      if (range.AsPredicate()(e.value)) hits += e.count;
+    }
     ExpectEstimateEq(view.CountWhereRangeAnswer(range, 0.95, ctx),
-                     view.CountWhereAnswer(range.AsPredicate(), 0.95, ctx));
+                     SampleEstimator::CountWhereFromHits(
+                         hits, view.sample_size(), ctx.observed_inserts,
+                         0.95));
   }
 
   // Everything: 10 of 10 sample points hit.
@@ -235,7 +242,7 @@ TEST(FrozenViewTest, BuildersDeclareTheirQueryKinds) {
     sketch.Insert(value);
   }
 
-  const FrozenView concise_view = BuildConciseView(concise);
+  const FrozenView concise_view(BuildConciseViewSpec(concise));
   EXPECT_TRUE(concise_view.Answers(QueryKind::kHotList));
   EXPECT_TRUE(concise_view.Answers(QueryKind::kFrequency));
   EXPECT_TRUE(concise_view.Answers(QueryKind::kCountWhere));
@@ -245,7 +252,7 @@ TEST(FrozenViewTest, BuildersDeclareTheirQueryKinds) {
   EXPECT_EQ(concise_view.observed_inserts(), concise.ObservedInserts());
 
   // Not a uniform sample: no count_where/quantile from a counting sample.
-  const FrozenView counting_view = BuildCountingView(counting);
+  const FrozenView counting_view(BuildCountingViewSpec(counting));
   EXPECT_TRUE(counting_view.Answers(QueryKind::kHotList));
   EXPECT_TRUE(counting_view.Answers(QueryKind::kFrequency));
   EXPECT_FALSE(counting_view.Answers(QueryKind::kCountWhere));
@@ -253,14 +260,14 @@ TEST(FrozenViewTest, BuildersDeclareTheirQueryKinds) {
 
   // No per-value counts worth trusting from a traditional sample's
   // duplicates — frequency stays on the live path.
-  const FrozenView traditional_view = BuildTraditionalView(traditional);
+  const FrozenView traditional_view(BuildTraditionalViewSpec(traditional));
   EXPECT_TRUE(traditional_view.Answers(QueryKind::kHotList));
   EXPECT_FALSE(traditional_view.Answers(QueryKind::kFrequency));
   EXPECT_TRUE(traditional_view.Answers(QueryKind::kCountWhere));
   EXPECT_TRUE(traditional_view.Answers(QueryKind::kQuantile));
   EXPECT_EQ(traditional_view.sample_size(), traditional.SampleSize());
 
-  const FrozenView sketch_view = BuildDistinctSketchView(sketch);
+  const FrozenView sketch_view(BuildDistinctSketchViewSpec(sketch));
   EXPECT_TRUE(sketch_view.Answers(QueryKind::kDistinct));
   EXPECT_FALSE(sketch_view.Answers(QueryKind::kHotList));
   ExpectEstimateEq(sketch_view.DistinctAnswer(), FmDistinctEstimate(sketch));

@@ -96,8 +96,8 @@ void CheckFrequencies(const SynopsisDescriptor<S>& descriptor,
   }
 }
 
-/// count_where equivalence: the direct predicate scan vs both view paths
-/// (the O(log m) range form and the folded-entry predicate fallback).
+/// count_where equivalence: the direct predicate scan vs the view's
+/// O(log m) range form.
 template <typename S>
 void CheckCountWhere(const SynopsisDescriptor<S>& descriptor,
                      const S& sample, const FrozenView& view,
@@ -113,8 +113,6 @@ void CheckCountWhere(const SynopsisDescriptor<S>& descriptor,
     const Estimate direct = descriptor.answers.count_where(
         sample, range.AsPredicate(), 0.95, ctx);
     ExpectEstimateEq(direct, view.CountWhereRangeAnswer(range, 0.95, ctx));
-    ExpectEstimateEq(direct,
-                     view.CountWhereAnswer(range.AsPredicate(), 0.95, ctx));
   }
 }
 
@@ -145,7 +143,7 @@ TEST(ViewEquivalenceProperty, ConciseSampleAllKindsMatchExactly) {
     const std::vector<Value> stream =
         ZipfValues(kStreamLength, kDomain, 1.0, seed);
     const ConciseSample sample = BuildFromStream(descriptor, stream, seed);
-    const FrozenView view = descriptor.view_builder(sample);
+    const FrozenView view(descriptor.spec_builder(sample));
     QueryContext ctx;
     ctx.observed_inserts = sample.ObservedInserts();
 
@@ -165,7 +163,7 @@ TEST(ViewEquivalenceProperty, CountingSampleHotListAndFrequencyMatch) {
     const std::vector<Value> stream =
         ZipfValues(kStreamLength, kDomain, 1.5, seed);
     const CountingSample sample = BuildFromStream(descriptor, stream, seed);
-    const FrozenView view = descriptor.view_builder(sample);
+    const FrozenView view(descriptor.spec_builder(sample));
     QueryContext ctx;
     ctx.observed_inserts = sample.ObservedInserts();
 
@@ -185,7 +183,7 @@ TEST(ViewEquivalenceProperty, TraditionalSampleFoldedEntriesMatch) {
     const std::vector<Value> stream =
         ZipfValues(kStreamLength, kDomain, 1.0, seed);
     const ReservoirSample sample = BuildFromStream(descriptor, stream, seed);
-    const FrozenView view = descriptor.view_builder(sample);
+    const FrozenView view(descriptor.spec_builder(sample));
     QueryContext ctx;
     ctx.observed_inserts = sample.ObservedInserts();
 
@@ -205,7 +203,7 @@ TEST(ViewEquivalenceProperty, DistinctSketchPrecomputedEstimateMatches) {
     const std::vector<Value> stream =
         ZipfValues(kStreamLength, kDomain, 0.5, seed);
     const FlajoletMartin sketch = BuildFromStream(descriptor, stream, seed);
-    const FrozenView view = descriptor.view_builder(sketch);
+    const FrozenView view(descriptor.spec_builder(sketch));
     QueryContext ctx;
 
     EXPECT_TRUE(view.Answers(QueryKind::kDistinct));

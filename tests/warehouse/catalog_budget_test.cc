@@ -9,11 +9,23 @@
 #include <string>
 #include <vector>
 
+#include "plan/planner.h"
 #include "warehouse/catalog.h"
 #include "workload/generators.h"
 
 namespace aqua {
 namespace {
+
+/// One unbounded plan on an attribute's registry, or the lookup's error.
+Result<PlannedResponse> Ask(const SynopsisCatalog& catalog,
+                            std::string_view attribute,
+                            const PlannedQuery& query) {
+  AQUA_ASSIGN_OR_RETURN(const SynopsisRegistry* registry,
+                        catalog.RegistryFor(attribute));
+  PlannedResponse response;
+  RunPlannedQueryInto(*registry, query, &response);
+  return response;
+}
 
 TEST(CatalogBudgetTest, SumOfSharesNeverExceedsBudget) {
   SynopsisCatalog catalog(10000, 1);
@@ -79,8 +91,7 @@ TEST(CatalogBudgetTest, LifecycleErrors) {
   // Query and ingest both require Seal() first.
   EXPECT_TRUE(catalog.Observe("a", StreamOp::Insert(1))
                   .IsFailedPrecondition());
-  EXPECT_TRUE(catalog.HotListFor("a", {.k = 1}).status()
-                  .IsFailedPrecondition());
+  EXPECT_TRUE(catalog.RegistryFor("a").status().IsFailedPrecondition());
 
   ASSERT_TRUE(catalog.Seal().ok());
   EXPECT_TRUE(catalog.Seal().IsFailedPrecondition());  // re-seal
@@ -119,31 +130,30 @@ TEST(CatalogBudgetTest, CountWhereAndDistinctPerAttribute) {
       catalog.InsertBatch("wide", UniformValues(100000, 4000, 11)).ok());
 
   // narrow: ~half the stream falls in [1, 50].
-  const auto narrow_count = catalog.CountWhereFor(
-      "narrow", [](Value v) { return v <= 50; }, 0.95);
+  const PlannedQuery at_most_50 = {.kind = QueryKind::kCountWhere,
+                                   .range = {.high = 50}};
+  const auto narrow_count = Ask(catalog, "narrow", at_most_50);
   ASSERT_TRUE(narrow_count.ok());
-  EXPECT_NEAR(narrow_count->answer.value, 50000.0, 20000.0);
+  EXPECT_NEAR(narrow_count->estimate.value, 50000.0, 20000.0);
 
   // wide: only ~1.25% does.
-  const auto wide_count = catalog.CountWhereFor(
-      "wide", [](Value v) { return v <= 50; }, 0.95);
+  const auto wide_count = Ask(catalog, "wide", at_most_50);
   ASSERT_TRUE(wide_count.ok());
-  EXPECT_LT(wide_count->answer.value, 15000.0);
+  EXPECT_LT(wide_count->estimate.value, 15000.0);
 
-  const auto narrow_distinct = catalog.DistinctFor("narrow");
+  const PlannedQuery distinct = {.kind = QueryKind::kDistinct};
+  const auto narrow_distinct = Ask(catalog, "narrow", distinct);
   ASSERT_TRUE(narrow_distinct.ok());
   EXPECT_EQ(narrow_distinct->method, "fm-sketch");
-  EXPECT_GT(narrow_distinct->answer.value, 100.0 / 3.0);
-  EXPECT_LT(narrow_distinct->answer.value, 100.0 * 3.0);
+  EXPECT_GT(narrow_distinct->estimate.value, 100.0 / 3.0);
+  EXPECT_LT(narrow_distinct->estimate.value, 100.0 * 3.0);
 
-  const auto wide_distinct = catalog.DistinctFor("wide");
+  const auto wide_distinct = Ask(catalog, "wide", distinct);
   ASSERT_TRUE(wide_distinct.ok());
-  EXPECT_GT(wide_distinct->answer.value, narrow_distinct->answer.value);
+  EXPECT_GT(wide_distinct->estimate.value, narrow_distinct->estimate.value);
 
-  EXPECT_TRUE(catalog.CountWhereFor("nope", [](Value) { return true; }, 0.95)
-                  .status()
-                  .IsNotFound());
-  EXPECT_TRUE(catalog.DistinctFor("nope").status().IsNotFound());
+  EXPECT_TRUE(Ask(catalog, "nope", at_most_50).status().IsNotFound());
+  EXPECT_TRUE(Ask(catalog, "nope", distinct).status().IsNotFound());
 }
 
 }  // namespace

@@ -3,10 +3,22 @@
 #include <gtest/gtest.h>
 
 #include "core/counting_sample.h"
+#include "plan/planner.h"
 #include "workload/generators.h"
 
 namespace aqua {
 namespace {
+
+/// One unbounded plan on an attribute's registry, or the lookup's error.
+Result<PlannedResponse> Ask(const SynopsisCatalog& catalog,
+                            std::string_view attribute,
+                            const PlannedQuery& query) {
+  AQUA_ASSIGN_OR_RETURN(const SynopsisRegistry* registry,
+                        catalog.RegistryFor(attribute));
+  PlannedResponse response;
+  RunPlannedQueryInto(*registry, query, &response);
+  return response;
+}
 
 TEST(SynopsisCatalogTest, RegistrationRules) {
   SynopsisCatalog catalog(10000, 1);
@@ -75,19 +87,23 @@ TEST(SynopsisCatalogTest, RoutesOpsAndQueriesPerAttribute) {
   }
   EXPECT_TRUE(catalog.Observe("nope", StreamOp::Insert(1)).IsNotFound());
 
-  auto products = catalog.HotListFor("products", {.k = 5, .beta = 3});
+  auto products = Ask(catalog, "products",
+                      {.kind = QueryKind::kHotList, .k = 5, .beta = 3});
   ASSERT_TRUE(products.ok());
-  EXPECT_FALSE(products->answer.empty());
+  EXPECT_FALSE(products->hotlist.empty());
   EXPECT_EQ(products->method, "counting-sample");
 
-  auto freq = catalog.FrequencyFor("regions", 1);
+  auto freq =
+      Ask(catalog, "regions", {.kind = QueryKind::kFrequency, .value = 1});
   ASSERT_TRUE(freq.ok());
-  EXPECT_GT(freq->answer.value, 0.0);
+  EXPECT_GT(freq->estimate.value, 0.0);
 
-  EXPECT_FALSE(catalog.HotListFor("nope", {.k = 1}).ok());
+  EXPECT_FALSE(
+      Ask(catalog, "nope", {.kind = QueryKind::kHotList, .k = 1}).ok());
   // The two engines are independent: products' hot value 1 has a far
   // larger estimate than regions' (different stream sizes and skews).
-  auto regions = catalog.HotListFor("regions", {.k = 1, .beta = 3});
+  auto regions = Ask(catalog, "regions",
+                     {.kind = QueryKind::kHotList, .k = 1, .beta = 3});
   ASSERT_TRUE(regions.ok());
 }
 

@@ -5,11 +5,20 @@
 #include <vector>
 
 #include "metrics/hotlist_accuracy.h"
+#include "plan/planner.h"
 #include "warehouse/relation.h"
 #include "workload/generators.h"
 
 namespace aqua {
 namespace {
+
+/// One unbounded plan on the engine's registry.
+PlannedResponse Ask(const ApproximateAnswerEngine& engine,
+                    const PlannedQuery& query) {
+  PlannedResponse response;
+  RunPlannedQueryInto(engine.registry(), query, &response);
+  return response;
+}
 
 EngineOptions AllOn(Words m, std::uint64_t seed) {
   EngineOptions o;
@@ -43,9 +52,10 @@ TEST(EngineTest, HotListPrefersCountingSample) {
   for (Value v : ZipfValues(100000, 1000, 1.25, 5)) {
     ASSERT_TRUE(engine.Observe(StreamOp::Insert(v)).ok());
   }
-  const auto response = engine.HotListAnswer({.k = 10, .beta = 3});
+  const auto response =
+      Ask(engine, {.kind = QueryKind::kHotList, .k = 10, .beta = 3});
   EXPECT_EQ(response.method, "counting-sample");
-  EXPECT_FALSE(response.answer.empty());
+  EXPECT_FALSE(response.hotlist.empty());
   EXPECT_GE(response.response_ns, 0);
 }
 
@@ -61,7 +71,8 @@ TEST(EngineTest, DeletionsDropConciseAndTraditional) {
   EXPECT_EQ(engine.counting()->CountOf(7), 99);
   EXPECT_EQ(engine.observed_deletes(), 1);
   // Hot lists still work, served by the counting sample.
-  EXPECT_EQ(engine.HotListAnswer({.k = 1}).method, "counting-sample");
+  EXPECT_EQ(Ask(engine, {.kind = QueryKind::kHotList, .k = 1}).method,
+            "counting-sample");
 }
 
 TEST(EngineTest, FullHistogramServesExactHotLists) {
@@ -73,10 +84,10 @@ TEST(EngineTest, FullHistogramServesExactHotLists) {
     ASSERT_TRUE(engine.Observe(StreamOp::Insert(v)).ok());
     relation.Insert(v);
   }
-  const auto response = engine.HotListAnswer({.k = 10});
+  const auto response = Ask(engine, {.kind = QueryKind::kHotList, .k = 10});
   EXPECT_EQ(response.method, "full-histogram");
   const HotListAccuracy acc =
-      EvaluateHotList(response.answer, relation.ExactCounts(), 10);
+      EvaluateHotList(response.hotlist, relation.ExactCounts(), 10);
   EXPECT_EQ(acc.false_positives, 0);
   EXPECT_DOUBLE_EQ(acc.max_relative_count_error, 0.0);
 }
@@ -88,10 +99,11 @@ TEST(EngineTest, FrequencyAnswerUsesCountingSample) {
     ASSERT_TRUE(engine.Observe(StreamOp::Insert(v)).ok());
     relation.Insert(v);
   }
-  const auto response = engine.FrequencyAnswer(1);
+  const auto response =
+      Ask(engine, {.kind = QueryKind::kFrequency, .value = 1});
   EXPECT_EQ(response.method, "counting-sample");
   const auto truth = static_cast<double>(relation.FrequencyOf(1));
-  EXPECT_NEAR(response.answer.value, truth, 0.2 * truth);
+  EXPECT_NEAR(response.estimate.value, truth, 0.2 * truth);
 }
 
 TEST(EngineTest, CountWhereAnswerFromConciseSample) {
@@ -100,9 +112,9 @@ TEST(EngineTest, CountWhereAnswerFromConciseSample) {
     ASSERT_TRUE(engine.Observe(StreamOp::Insert(v)).ok());
   }
   const auto response =
-      engine.CountWhereAnswer([](Value v) { return v <= 100; });
+      Ask(engine, {.kind = QueryKind::kCountWhere, .range = {.high = 100}});
   EXPECT_EQ(response.method, "concise-sample");
-  EXPECT_NEAR(response.answer.value, 10000.0, 4000.0);
+  EXPECT_NEAR(response.estimate.value, 10000.0, 4000.0);
 }
 
 TEST(EngineTest, DistinctValuesAnswerWithinFactor) {
@@ -110,10 +122,10 @@ TEST(EngineTest, DistinctValuesAnswerWithinFactor) {
   for (Value v : UniformValues(200000, 5000, 14)) {
     ASSERT_TRUE(engine.Observe(StreamOp::Insert(v)).ok());
   }
-  const auto response = engine.DistinctValuesAnswer();
+  const auto response = Ask(engine, {.kind = QueryKind::kDistinct});
   EXPECT_EQ(response.method, "fm-sketch");
-  EXPECT_GT(response.answer.value, 5000.0 / 2.0);
-  EXPECT_LT(response.answer.value, 5000.0 * 2.0);
+  EXPECT_GT(response.estimate.value, 5000.0 / 2.0);
+  EXPECT_LT(response.estimate.value, 5000.0 * 2.0);
 }
 
 TEST(EngineTest, TotalFootprintSumsSynopses) {
@@ -135,8 +147,9 @@ TEST(EngineTest, HotListFallsBackToConciseThenTraditional) {
   for (Value v : ZipfValues(20000, 200, 1.2, 21)) {
     ASSERT_TRUE(engine.Observe(StreamOp::Insert(v)).ok());
   }
-  EXPECT_EQ(engine.HotListAnswer({.k = 5, .beta = 3}).method,
-            "concise-sample");
+  EXPECT_EQ(
+      Ask(engine, {.kind = QueryKind::kHotList, .k = 5, .beta = 3}).method,
+      "concise-sample");
 
   EngineOptions traditional_only = AllOn(200, 22);
   traditional_only.maintain_counting = false;
@@ -145,10 +158,11 @@ TEST(EngineTest, HotListFallsBackToConciseThenTraditional) {
   for (Value v : ZipfValues(20000, 200, 1.2, 23)) {
     ASSERT_TRUE(engine2.Observe(StreamOp::Insert(v)).ok());
   }
-  EXPECT_EQ(engine2.HotListAnswer({.k = 5, .beta = 3}).method,
-            "traditional-sample");
+  EXPECT_EQ(
+      Ask(engine2, {.kind = QueryKind::kHotList, .k = 5, .beta = 3}).method,
+      "traditional-sample");
   // CountWhere falls back to the traditional sample as well.
-  EXPECT_EQ(engine2.CountWhereAnswer([](Value) { return true; }).method,
+  EXPECT_EQ(Ask(engine2, {.kind = QueryKind::kCountWhere}).method,
             "traditional-sample");
 }
 
@@ -186,7 +200,7 @@ TEST(EngineTest, ObserveBatchMatchesPerOpObserve) {
   EXPECT_EQ(batched.counting()->Threshold(), per_op.counting()->Threshold());
   EXPECT_EQ(batched.counting()->CountedOccurrences(),
             per_op.counting()->CountedOccurrences());
-  const auto response = batched.HotListAnswer({.k = 5});
+  const auto response = Ask(batched, {.kind = QueryKind::kHotList, .k = 5});
   EXPECT_EQ(response.method, "full-histogram");
 }
 
@@ -273,8 +287,10 @@ TEST(EngineTest, ObserveBatchInvalidationMatchesPerOp) {
   EXPECT_EQ(batched.traditional(), nullptr);
   EXPECT_EQ(batched.concise(), nullptr);
   // Both engines answer hot lists the same way after invalidation.
-  EXPECT_EQ(batched.HotListAnswer({.k = 5}).method, "counting-sample");
-  EXPECT_EQ(per_op.HotListAnswer({.k = 5}).method, "counting-sample");
+  EXPECT_EQ(Ask(batched, {.kind = QueryKind::kHotList, .k = 5}).method,
+            "counting-sample");
+  EXPECT_EQ(Ask(per_op, {.kind = QueryKind::kHotList, .k = 5}).method,
+            "counting-sample");
 }
 
 TEST(EngineTest, ObserveBatchDeleteFirstAndLastMatchPerOp) {
@@ -339,10 +355,9 @@ TEST(EngineTest, NoSynopsesConfigured) {
   o.maintain_distinct_sketch = false;
   ApproximateAnswerEngine engine(o);
   ASSERT_TRUE(engine.Observe(StreamOp::Insert(1)).ok());
-  EXPECT_EQ(engine.HotListAnswer({.k = 1}).method, "none");
-  EXPECT_EQ(engine.CountWhereAnswer([](Value) { return true; }).method,
-            "none");
-  EXPECT_EQ(engine.DistinctValuesAnswer().method, "none");
+  EXPECT_EQ(Ask(engine, {.kind = QueryKind::kHotList, .k = 1}).method, "none");
+  EXPECT_EQ(Ask(engine, {.kind = QueryKind::kCountWhere}).method, "none");
+  EXPECT_EQ(Ask(engine, {.kind = QueryKind::kDistinct}).method, "none");
 }
 
 }  // namespace
