@@ -1,8 +1,9 @@
 // Measures the incremental off-path epoch refresh machinery (BENCH_9):
 //
-//  1. Snapshot re-merge cost, full Snapshot() vs SnapshotDelta(), at a
-//     merged sample of ~100K entries across dirty-shard fractions — the
-//     headline claim is >=5x cheaper refresh at <=10% dirty shards.
+//  1. Drain refresh cost — copy the previous epoch, drain 8 shards into
+//     the copy — against the number of points that arrived since the last
+//     drain, for a serving-sized concise sample (bound 4096 words after a
+//     4M-value Zipf prefix).
 //  2. Frozen-view build cost, full sort vs delta patch, across
 //     entry-churn fractions.
 //  3. Epoch-boundary query latency under concurrent ingest: inline
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -49,82 +51,74 @@ double MedianNs(std::vector<std::int64_t> samples) {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Full re-merge vs dirty-shard delta merge.
+// 1. Drain refresh cost against arrivals since the last drain.
 // ---------------------------------------------------------------------------
 
-void RunMergeSweep(BenchReport* report) {
-  const std::size_t shards = 16;
-  // ~2 words per concise entry: this footprint puts the merged sample at
-  // roughly 100K entries (smoke: a few thousand).
-  const Words per_shard_bound = SmokeMode() ? Words{512} : Words{12500};
-  const std::int64_t n = SmokeCap(2000000);
-  const std::int64_t domain = 4 * n;
-
-  ShardedSynopsis<ConciseSample> sharded(shards, [&](std::size_t i) {
-    return ConciseSample(
-        ConciseSampleOptions{.footprint_bound = per_shard_bound,
-                             .seed = kSeed + 7919ULL * (i + 1)});
-  });
-  sharded.InsertBatch(ZipfValues(n, domain, 0.5, kSeed));
-
+void RunDrainSweep(BenchReport* report) {
+  static constexpr std::size_t kShards = 8;
+  static constexpr Words kBound = 4096;
+  static constexpr std::int64_t kDomain = 100000;
+  static constexpr std::size_t kPostValues = 4096;  // one ingest POST
   const int rounds = SmokeMode() ? 3 : 15;
-  std::mt19937_64 rng(kSeed);
-  PrintHeader("snapshot re-merge: full vs dirty-shard delta");
-  std::printf("%8s %10s %12s %12s %9s\n", "dirty", "delta", "delta_ns",
-              "full_ns", "speedup");
+  const auto make = [](std::size_t i) {
+    ConciseSampleOptions o;
+    o.footprint_bound = kBound;
+    o.seed = kSeed + 7919ULL * (i + 1);
+    return ConciseSample(o);
+  };
+  ShardedSynopsis<ConciseSample> sharded(kShards, make);
+  const auto ingest = [&sharded](std::int64_t n, std::uint64_t seed) {
+    const std::vector<Value> values = ZipfValues(n, kDomain, 1.0, seed);
+    const std::span<const Value> all(values);
+    for (std::size_t off = 0; off < all.size(); off += kPostValues) {
+      sharded.InsertBatch(
+          all.subspan(off, std::min(kPostValues, all.size() - off)));
+    }
+  };
+  // The epoch a server holds after its preload: one drain of the prefix.
+  ConciseSample epoch = make(kShards);
+  ingest(SmokeCap(4000000), kSeed);
+  if (!sharded.DrainInto(epoch).ok()) return;
 
-  for (const std::size_t dirty : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{4}, std::size_t{8}, shards}) {
-    // Steady-state protocol: the same `dirty` shards mutate every window,
-    // so they never fold into the retained base while the cold shards do.
-    const auto touch_hot_set = [&] {
-      for (std::size_t i = 0; i < dirty; ++i) {
-        sharded.WithShardMutable(i, [&rng](ConciseSample& s) {
-          s.Insert(static_cast<Value>(rng() % 1000000));
-          return 0;
-        });
-      }
-    };
-    ShardedSynopsis<ConciseSample>::DeltaState state;
-    ShardedDeltaStats stats;
-    (void)sharded.SnapshotDelta(state, &stats);  // window 1: no base yet
-    touch_hot_set();
-    (void)sharded.SnapshotDelta(state, &stats);  // window 2: cold set folds
-
-    std::vector<std::int64_t> delta_ns;
-    std::vector<std::int64_t> full_ns;
-    std::int64_t entries = 0;
-    double delta_fraction = 1.0;
+  PrintHeader("drain refresh: copy the epoch, drain 8 shards into it");
+  std::printf("%10s %10s %9s %12s %12s\n", "arrivals", "entries", "tau",
+              "copy_ns", "refresh_ns");
+  std::uint64_t seed = kSeed + 1;
+  for (const std::int64_t arrivals :
+       {std::int64_t{1024}, std::int64_t{4096}, std::int64_t{16384},
+        std::int64_t{65536}, std::int64_t{262144}}) {
+    // --smoke caps the stream; the row keeps its nominal name.
+    const std::int64_t n = SmokeCap(arrivals);
+    std::vector<std::int64_t> copy_ns;
+    std::vector<std::int64_t> refresh_ns;
     for (int r = 0; r < rounds; ++r) {
-      touch_hot_set();
-      std::int64_t t0 = NowNs();
-      auto delta = sharded.SnapshotDelta(state, &stats);
-      delta_ns.push_back(NowNs() - t0);
-      if (!delta.ok()) {
-        std::fprintf(stderr, "SnapshotDelta failed: %s\n",
-                     delta.status().message().c_str());
+      ingest(n, seed++);
+      const std::int64_t t0 = NowNs();
+      ConciseSample next = epoch;
+      const std::int64_t t1 = NowNs();
+      const Status status = sharded.DrainInto(next);
+      const std::int64_t t2 = NowNs();
+      if (!status.ok()) {
+        std::fprintf(stderr, "DrainInto failed: %s\n",
+                     status.message().c_str());
         return;
       }
-      delta_fraction = stats.delta_fraction;
-      entries = static_cast<std::int64_t>(delta->Entries().size());
-      t0 = NowNs();
-      auto full = sharded.Snapshot();
-      full_ns.push_back(NowNs() - t0);
-      if (!full.ok()) return;
+      copy_ns.push_back(t1 - t0);
+      refresh_ns.push_back(t2 - t0);
+      epoch = std::move(next);
     }
-    const double d_ns = MedianNs(delta_ns);
-    const double f_ns = MedianNs(full_ns);
-    const double speedup = d_ns > 0 ? f_ns / d_ns : 0.0;
-    std::printf("%5zu/%zu %9.3f%% %12.0f %12.0f %8.2fx\n", dirty, shards,
-                100.0 * delta_fraction, d_ns, f_ns, speedup);
-    report->Add(
-        "merge_dirty_" + std::to_string(dirty) + "_of_" +
-            std::to_string(shards),
-        {{"m_entries", static_cast<double>(entries)},
-         {"delta_fraction", delta_fraction},
-         {"delta_ns", d_ns},
-         {"full_ns", f_ns},
-         {"speedup", speedup}});
+    const double c_ns = MedianNs(copy_ns);
+    const double f_ns = MedianNs(refresh_ns);
+    const auto entries = static_cast<double>(epoch.DistinctValues());
+    std::printf("%10lld %10.0f %9.1f %12.0f %12.0f\n",
+                static_cast<long long>(n), entries, epoch.Threshold(),
+                c_ns, f_ns);
+    report->Add("drain_" + std::to_string(arrivals) + "_arrivals_8_shards",
+                {{"arrivals", static_cast<double>(n)},
+                 {"m_entries", entries},
+                 {"threshold", epoch.Threshold()},
+                 {"copy_ns", c_ns},
+                 {"refresh_ns", f_ns}});
   }
 }
 
@@ -298,7 +292,7 @@ void RunBoundarySweep(BenchReport* report) {
 int main(int argc, char** argv) {
   aqua::bench::ApplySmoke(argc, argv);
   aqua::bench::BenchReport report("epoch_refresh");
-  aqua::bench::RunMergeSweep(&report);
+  aqua::bench::RunDrainSweep(&report);
   aqua::bench::RunViewSweep(&report);
   aqua::bench::RunBoundarySweep(&report);
   report.WriteJson(aqua::bench::BenchReport::JsonPathFromArgs(argc, argv));

@@ -3,7 +3,7 @@
 // optional core pinning.  Three sections, one BENCH_6.json:
 //
 //   ingest_s{S}        S producer threads driving ServingEngine::InsertBatch
-//                      through the SIMD batch kernels and the pre-routed
+//                      through the SIMD batch kernels and the round-robin
 //                      sharded inserter (elements/sec vs shard count),
 //   batch_large_tau    per-element Insert vs batched InsertBatch on the
 //                      concise sample in the large-τ regime — the paper's

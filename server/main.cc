@@ -120,8 +120,9 @@ void Usage(const char* argv0) {
       "                       with a warning when the kernel lacks support)\n"
       "  --pin-cores          pin reactor i to CPU i (mod online cores)\n"
       "  --queue-capacity N   bounded request queue (default 256)\n"
-      "  --shards N           ingest shards for the concise sample "
-      "(default 8)\n"
+      "  --shards N           ingest shards for the concise and "
+      "traditional samples\n"
+      "                       (default 8)\n"
       "  --footprint N        per-synopsis footprint bound, words "
       "(default 4096)\n"
       "  --seed N             synopsis RNG seed\n"

@@ -1,7 +1,6 @@
 #ifndef AQUA_CONCURRENCY_SHARDED_SYNOPSIS_H_
 #define AQUA_CONCURRENCY_SHARDED_SYNOPSIS_H_
 
-#include <algorithm>
 #include <atomic>
 #include <concepts>
 #include <cstddef>
@@ -13,13 +12,9 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/result.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "concurrency/shared_synopsis.h"
-#include "container/flat_hash_map.h"
-#include "core/batch_kernels.h"
-#include "random/xoshiro256.h"
 
 namespace aqua {
 
@@ -31,63 +26,13 @@ concept Mergeable = requires(S s, const S& other) {
   { s.MergeFrom(other) } -> std::same_as<Status>;
 };
 
-/// Synopses whose private random stream can be replaced wholesale.
-/// Snapshot() requires this: a merged snapshot starts as a copy of shard 0,
-/// and without a reseed its merge draws would replay exactly the random
-/// values shard 0 will consume for its future inserts (and successive
-/// snapshots would reuse identical randomness).
+/// Synopses that can hand over what they took since their last drain:
+/// Drain() returns those contents as a synopsis of their own and leaves
+/// this one empty, at its own threshold and on its own random stream, so
+/// it keeps sampling later arrivals exactly as if nothing had been taken.
 template <typename S>
-concept Reseedable = requires(S s, std::uint64_t seed) { s.Reseed(seed); };
-
-/// Synopses with a prehashed batch fast path: the caller supplies
-/// hashes[i] == IntegerHash{}(values[i]) so the synopsis's own lookups
-/// reuse the hashes the shard router already computed.
-template <typename S>
-concept PrehashedBatchInsertable =
-    requires(S s, std::span<const Value> v,
-             std::span<const std::uint64_t> h) {
-      s.InsertBatchPrehashed(v, h);
-    };
-
-/// Synopses that look up every insert regardless of the threshold (the
-/// counting sample), for which prehashing a whole batch *outside* the shard
-/// lock is always profitable — unlike skip-counting synopses, where most
-/// batch elements never touch the table and eager hashing would be waste.
-template <typename S>
-concept PrehashEager =
-    PrehashedBatchInsertable<S> && requires { requires S::kHashesEveryInsert; };
-
-/// How one SnapshotDelta() call covered the shard set: how many shards were
-/// served from the retained base versus merged individually, and whether
-/// the base had to be discarded (a full rebuild).  Non-template so callers
-/// can aggregate across synopsis types.
-struct ShardedDeltaStats {
-  std::size_t total_shards = 0;
-  /// Dirty shards copied and merged individually this call.
-  std::size_t merged_shards = 0;
-  /// Quiescent shards covered by the retained base (no copy, no merge).
-  std::size_t base_shards = 0;
-  /// True when no valid base existed (first call, or an in-base shard
-  /// mutated) and every shard was re-merged from scratch.
-  bool full_rebuild = false;
-  /// merged_shards / total_shards — the fraction of the shard set that had
-  /// to be re-merged.
-  double delta_fraction = 1.0;
-};
-
-/// How a ShardedSynopsis assigns stream operations to shards.
-enum class ShardRouting {
-  /// Each operation goes to the next shard in ticket order: perfectly
-  /// balanced regardless of the value distribution, but *insert-only* —
-  /// a delete could land on a shard that never saw the value's inserts,
-  /// silently breaking the aggregate count, so Delete() is refused.
-  kRoundRobin,
-  /// All operations on a value go to the shard chosen by hash(value), so a
-  /// delete always reaches the shard that observed every insert of that
-  /// value and shard-local delete semantics (Theorem 5) stay exact.  The
-  /// substreams are still disjoint, so Snapshot() merging stays valid; the
-  /// cost is load skew when a few values dominate the stream.
-  kByValue,
+concept Drainable = requires(S s) {
+  { s.Drain() } -> std::same_as<S>;
 };
 
 /// Scale-out ingestion for any mergeable synopsis (§6: "issues of
@@ -95,21 +40,20 @@ enum class ShardRouting {
 ///
 /// SharedSynopsis serializes all producers through one mutex; under heavy
 /// multi-producer load that lock is the bottleneck no matter how cheap the
-/// per-element work is.  ShardedSynopsis instead partitions the stream
-/// across N independently-locked shards, each maintaining its own synopsis
-/// of the disjoint substream it observes.  Because each shard's synopsis is
-/// a uniform sample of its substream, merging the shards with MergeFrom
-/// yields one synopsis that is a uniform sample of the whole stream — the
-/// same partition-then-merge trick modern AQP systems use to scale summary
-/// construction out.
+/// per-element work is.  ShardedSynopsis instead spreads the stream
+/// round-robin over N independently-locked shards, each a synopsis of the
+/// disjoint substream it observes.  The query path never reads the shards
+/// in place: DrainInto() empties them into a long-lived target (the
+/// previous epoch, in TypedSynopsisHandle), and MergeFrom keeps that target
+/// a uniform sample of everything drained so far — Theorem 2's thinning
+/// argument: Bernoulli(1/τ_i) thinned by τ_i/τ' is Bernoulli(1/τ').  A
+/// shard therefore holds only what arrived since the last drain.
 ///
-/// The routing policy picks the partition: kRoundRobin (default) gives
-/// perfectly balanced 1/N slices but supports inserts only; kByValue
-/// hash-partitions by value, which additionally supports deletes (see
-/// ShardRouting).  Producers should prefer InsertBatch (one lock
-/// acquisition and one skip-counted scan per batch) or, better, a
-/// per-producer ShardedBatchInserter.  The query path calls Snapshot() to
-/// obtain a single merged synopsis.
+/// Round-robin routing is insert-only.  A value's occurrences spread over
+/// the shards and, once drained, into the target, so no shard could apply
+/// a delete exactly; synopses that apply deletes run single-instance.
+/// Producers should prefer InsertBatch (one lock acquisition and one
+/// skip-counted scan per batch) or a per-producer ShardedBatchInserter.
 template <typename S>
 class ShardedSynopsis {
  public:
@@ -118,9 +62,7 @@ class ShardedSynopsis {
   /// random streams must not be correlated or the merged sample is not
   /// uniform).
   template <typename Factory>
-  ShardedSynopsis(std::size_t num_shards, Factory&& make_shard,
-                  ShardRouting routing = ShardRouting::kRoundRobin)
-      : routing_(routing) {
+  ShardedSynopsis(std::size_t num_shards, Factory&& make_shard) {
     AQUA_CHECK_GE(num_shards, std::size_t{1});
     shards_.reserve(num_shards);
     for (std::size_t i = 0; i < num_shards; ++i) {
@@ -133,116 +75,33 @@ class ShardedSynopsis {
 
   std::size_t num_shards() const { return shards_.size(); }
 
-  ShardRouting routing() const { return routing_; }
-
   /// Next shard in round-robin order (one atomic increment; no lock).
   std::size_t NextShard() {
     return ticket_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
   }
 
-  /// The shard that owns `value` under kByValue routing.
-  std::size_t ShardForValue(Value value) const {
-    return IntegerHash{}(value) % shards_.size();
-  }
-
   void Insert(Value value) {
-    const std::size_t index = routing_ == ShardRouting::kByValue
-                                  ? ShardForValue(value)
-                                  : NextShard();
-    Shard& shard = *shards_[index];
+    Shard& shard = *shards_[NextShard()];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.version.fetch_add(1, std::memory_order_relaxed);
     shard.synopsis.Insert(value);
   }
 
-  /// Applies the whole batch under one lock acquisition per touched shard,
-  /// through the synopsis-level fast path when available.  kRoundRobin
-  /// sends the whole batch to the next shard; kByValue partitions it by
-  /// value hash first (stably, so each shard sees its substream in stream
-  /// order — the draw streams match element-at-a-time routing exactly).
-  ///
-  /// All routing work — hashing (vector kernel), route computation, and
-  /// the per-shard partition — happens *before* any shard lock is taken;
-  /// each lock is then held only while the shard's synopsis absorbs its
-  /// survivors through the (prehashed, when available) batch fast path.
-  /// Uses a thread-local scratch; producers owning a ShardedBatchInserter
-  /// route through their inserter's private scratch instead.
+  /// Sends the whole batch to the next shard under one lock acquisition,
+  /// through the synopsis-level batch fast path when available.
   void InsertBatch(std::span<const Value> values) {
-    static thread_local ShardPartitionScratch scratch;
-    InsertBatch(values, scratch);
-  }
-
-  /// InsertBatch with a caller-owned routing scratch (all scratch vectors
-  /// retain capacity, so steady-state batches allocate nothing).
-  void InsertBatch(std::span<const Value> values,
-                   ShardPartitionScratch& scratch) {
     if (values.empty()) return;
-    if (routing_ == ShardRouting::kRoundRobin) {
-      const std::size_t index = NextShard();
-      if constexpr (PrehashEager<S>) {
-        // The synopsis hashes every insert anyway; hash the whole batch
-        // with the vector kernel before touching the lock.
-        scratch.hashes.resize(values.size());
-        HashBatch(values, scratch.hashes.data());
-        Shard& shard = *shards_[index];
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.version.fetch_add(1, std::memory_order_relaxed);
-        shard.synopsis.InsertBatchPrehashed(values, scratch.hashes);
-      } else {
-        InsertBatchToShard(index, values);
-      }
-      return;
-    }
-    PartitionByShard(values, shards_.size(), scratch);
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const std::size_t begin = scratch.offsets[s];
-      const std::size_t end = scratch.offsets[s + 1];
-      if (begin == end) continue;
-      const std::span<const Value> group(scratch.values.data() + begin,
-                                         end - begin);
-      Shard& shard = *shards_[s];
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.version.fetch_add(1, std::memory_order_relaxed);
-      if constexpr (PrehashedBatchInsertable<S>) {
-        shard.synopsis.InsertBatchPrehashed(
-            group, std::span<const std::uint64_t>(
-                       scratch.grouped_hashes.data() + begin, end - begin));
-      } else if constexpr (BatchInsertable<S>) {
-        shard.synopsis.InsertBatch(group);
-      } else {
-        for (Value v : group) shard.synopsis.Insert(v);
-      }
-    }
+    InsertBatchToShard(NextShard(), values);
   }
 
   /// Targets a specific shard (producers pinning shards for locality).
   void InsertBatchToShard(std::size_t index, std::span<const Value> values) {
     Shard& shard = *shards_[index];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.version.fetch_add(1, std::memory_order_relaxed);
     if constexpr (BatchInsertable<S>) {
       shard.synopsis.InsertBatch(values);
     } else {
       for (Value v : values) shard.synopsis.Insert(v);
     }
-  }
-
-  /// Routes a delete to the shard that observed every insert of `value`.
-  /// Only kByValue routing can do that — under kRoundRobin a value's
-  /// inserts are spread across shards, so a delete could land on a shard
-  /// that never counted the value (a silent no-op for counting samples,
-  /// Theorem 5) while the counting shard keeps it, over-counting the
-  /// aggregate.  Refused with FailedPrecondition in that mode.
-  Status Delete(Value value) {
-    if (routing_ != ShardRouting::kByValue) {
-      return Status::FailedPrecondition(
-          "ShardedSynopsis::Delete requires ShardRouting::kByValue; "
-          "round-robin sharding is insert-only");
-    }
-    Shard& shard = *shards_[ShardForValue(value)];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.version.fetch_add(1, std::memory_order_relaxed);
-    return shard.synopsis.Delete(value);
   }
 
   /// Total words across all shards (locks each shard briefly).
@@ -259,7 +118,8 @@ class ShardedSynopsis {
     return total;
   }
 
-  /// Total inserts observed across all shards (locks each shard briefly).
+  /// Inserts the shards observed since the last drain (locks each shard
+  /// briefly).
   std::int64_t ObservedInserts() const {
     std::int64_t total = 0;
     for (const auto& shard : shards_) {
@@ -269,160 +129,30 @@ class ShardedSynopsis {
     return total;
   }
 
-  /// Merges per-shard copies into one synopsis for the query path.  Each
-  /// shard is copied under its own lock (a consistent per-shard snapshot;
-  /// shards are not frozen relative to each other — under continuous
-  /// ingestion the merged view may be a few in-flight batches skewed, like
-  /// any sampling snapshot).  Requires S to be copyable, Mergeable and
-  /// Reseedable.
+  /// Moves everything the shards took since the last drain into `target`.
+  /// One shard at a time: its contents are swapped out under its lock
+  /// (S::Drain(), which leaves the shard empty at its own threshold), and
+  /// the MergeFrom into `target` then runs with no shard lock held, so a
+  /// producer never waits on a merge.  Shards that observed nothing since
+  /// the last drain are skipped.
   ///
-  /// The merged copy is reseeded before merging: it starts life as a copy
-  /// of shard 0, and without a fresh stream its subsampling/binomial merge
-  /// draws would replay exactly the random values shard 0 will consume for
-  /// its future inserts — and successive Snapshot() calls would reuse
-  /// identical randomness, perfectly correlating repeated-snapshot
-  /// statistics.  A per-call sequence number mixed through SplitMix64
-  /// gives every snapshot its own independent stream (deterministic per
-  /// ShardedSynopsis instance, so tests stay reproducible).
-  Result<S> Snapshot() const
-    requires Mergeable<S> && Reseedable<S> && std::copy_constructible<S>
+  /// `target` must summarize a stream disjoint from the shards' (in
+  /// practice: the earlier drains) and draw from its own random stream.
+  /// Drains must be serialized by the caller (the epoch cache's refresh
+  /// mutex does this).  A drain racing ingest takes some prefix of each
+  /// shard's substream; the rest stays in the shard for the next drain, so
+  /// every insert reaches the target exactly once.  If a merge fails, the
+  /// error is returned and that one shard's drained points are lost; the
+  /// shards not yet visited keep theirs.
+  Status DrainInto(S& target)
+    requires Mergeable<S> && Drainable<S>
   {
-    S merged = CopyShard(0);
-    std::uint64_t sm = kSnapshotSeedTag ^
-                       snapshot_seq_.fetch_add(1, std::memory_order_relaxed);
-    merged.Reseed(SplitMix64Next(sm));
-    for (std::size_t i = 1; i < shards_.size(); ++i) {
-      const S shard_copy = CopyShard(i);
-      AQUA_RETURN_NOT_OK(merged.MergeFrom(shard_copy));
+    for (const auto& shard : shards_) {
+      std::optional<S> drained = TakeShard(*shard);
+      if (!drained.has_value()) continue;
+      AQUA_RETURN_NOT_OK(target.MergeFrom(*drained));
     }
-    return merged;
-  }
-
-  /// Caller-retained state for SnapshotDelta(): a base synopsis covering
-  /// the shards that have been quiescent for at least one whole refresh
-  /// window, plus the per-shard versions needed to detect quiescence and
-  /// base staleness.  One DeltaState belongs to one refresher; calls
-  /// sharing a state must be externally serialized (the registry handle's
-  /// refresh mutex already does this).
-  struct DeltaState {
-    std::optional<S> base;
-    std::vector<std::uint64_t> base_versions;
-    std::vector<char> in_base;
-    std::vector<std::uint64_t> last_versions;
-    std::vector<std::uint64_t> scratch_versions;
-    std::uint64_t base_seq = 0;
-    bool has_last = false;
-  };
-
-  /// Snapshot() with a retained base: shards whose version did not move
-  /// across a whole refresh window are folded into `state.base` once, and
-  /// later calls merge only the shards that mutated since — O(dirty)
-  /// shard copies + merges instead of O(N).  If an in-base shard mutates,
-  /// the base is discarded and this call degrades to a full re-merge
-  /// (stats->full_rebuild); hot shards therefore never enter the base and
-  /// are merged fresh every call.
-  ///
-  /// Same consistency contract as Snapshot(): each shard copy is taken
-  /// under its own lock, shards are not frozen relative to each other, and
-  /// an in-base shard that mutates *between* the validity check and the
-  /// merge only makes this snapshot trail by those in-flight ops — the
-  /// next call observes the version change and rebuilds.  The merged
-  /// result and the base each draw from their own SplitMix64-derived
-  /// streams, so repeated snapshots stay statistically independent exactly
-  /// as with Snapshot().
-  Result<S> SnapshotDelta(DeltaState& state,
-                          ShardedDeltaStats* stats = nullptr) const
-    requires Mergeable<S> && Reseedable<S> && std::copy_constructible<S>
-  {
-    const std::size_t n = shards_.size();
-    if (state.base_versions.size() != n) {
-      state.base.reset();
-      state.base_versions.assign(n, 0);
-      state.in_base.assign(n, 0);
-      state.last_versions.assign(n, 0);
-      state.has_last = false;
-    }
-    state.scratch_versions.resize(n);
-    // Conservative base validity check: any in-base shard whose version
-    // moved since it was folded invalidates the whole base (a merge is not
-    // reversible, so one stale contribution poisons the sum).
-    bool base_valid = state.base.has_value();
-    if (base_valid) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (state.in_base[i] != 0 &&
-            shards_[i]->version.load(std::memory_order_relaxed) !=
-                state.base_versions[i]) {
-          base_valid = false;
-          break;
-        }
-      }
-    }
-    if (!base_valid) {
-      state.base.reset();
-      std::fill(state.in_base.begin(), state.in_base.end(), char{0});
-    }
-
-    std::optional<S> merged;
-    if (base_valid) {
-      merged.emplace(*state.base);
-      std::uint64_t sm =
-          kSnapshotSeedTag ^
-          snapshot_seq_.fetch_add(1, std::memory_order_relaxed);
-      merged->Reseed(SplitMix64Next(sm));
-    }
-    std::size_t merged_shards = 0;
-    std::size_t base_shards = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (base_valid && state.in_base[i] != 0) {
-        // Covered by the base; its version cannot have moved (checked
-        // above, and any later movement is the documented trailing race).
-        state.scratch_versions[i] = state.base_versions[i];
-        ++base_shards;
-        continue;
-      }
-      std::uint64_t version = 0;
-      const S shard_copy = CopyShardVersioned(i, &version);
-      state.scratch_versions[i] = version;
-      if (!merged.has_value()) {
-        merged.emplace(shard_copy);
-        std::uint64_t sm =
-            kSnapshotSeedTag ^
-            snapshot_seq_.fetch_add(1, std::memory_order_relaxed);
-        merged->Reseed(SplitMix64Next(sm));
-      } else {
-        AQUA_RETURN_NOT_OK(merged->MergeFrom(shard_copy));
-      }
-      ++merged_shards;
-      // Quiescent across the previous whole window: fold into the base so
-      // the next call skips this shard.  A shard folds only after one full
-      // window with no mutation, so hot shards never churn the base.
-      if (state.has_last && version == state.last_versions[i]) {
-        if (!state.base.has_value()) {
-          state.base.emplace(shard_copy);
-          std::uint64_t sm = kDeltaBaseSeedTag ^ state.base_seq++;
-          state.base->Reseed(SplitMix64Next(sm));
-        } else {
-          AQUA_RETURN_NOT_OK(state.base->MergeFrom(shard_copy));
-        }
-        state.in_base[i] = 1;
-        state.base_versions[i] = version;
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      state.last_versions[i] = state.scratch_versions[i];
-    }
-    state.has_last = true;
-    if (stats != nullptr) {
-      stats->total_shards = n;
-      stats->merged_shards = merged_shards;
-      stats->base_shards = base_shards;
-      stats->full_rebuild = !base_valid;
-      stats->delta_fraction =
-          n == 0 ? 0.0
-                 : static_cast<double>(merged_shards) /
-                       static_cast<double>(n);
-    }
-    return std::move(*merged);
+    return Status::OK();
   }
 
   /// Runs `fn(const S&)` on one shard under its lock (tests, maintenance).
@@ -436,18 +166,12 @@ class ShardedSynopsis {
   /// Runs `fn(S&)` on one shard under its lock.  The cluster merge/restore
   /// path folds external state into shard 0 this way: the shards summarize
   /// disjoint substreams, so attributing merged-in ops to one shard keeps
-  /// every Snapshot() merge valid.
+  /// the next drain's merge valid.
   template <typename Fn>
   auto WithShardMutable(std::size_t index, Fn&& fn) {
     Shard& shard = *shards_[index];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.version.fetch_add(1, std::memory_order_relaxed);
     return fn(static_cast<S&>(shard.synopsis));
-  }
-
-  /// Current mutation version of one shard (tests, diagnostics).
-  std::uint64_t ShardVersion(std::size_t index) const {
-    return shards_[index]->version.load(std::memory_order_relaxed);
   }
 
  private:
@@ -455,39 +179,19 @@ class ShardedSynopsis {
   struct alignas(64) Shard {
     explicit Shard(S s) : synopsis(std::move(s)) {}
     mutable std::mutex mutex;
-    /// Bumped under `mutex` by every mutating entry point; SnapshotDelta
-    /// compares versions across calls to find shards that went quiescent
-    /// (fold into the retained base) or dirtied an in-base shard (discard
-    /// the base).  Loaded without the lock only for the conservative base
-    /// validity check.
-    std::atomic<std::uint64_t> version{0};
     S synopsis;
   };
 
-  static constexpr std::uint64_t kSnapshotSeedTag = 0x5a45b07c0de5eedULL;
-  /// The retained base's stream must be independent of both the shards'
-  /// streams (it starts as a shard copy) and the merged snapshots'.
-  static constexpr std::uint64_t kDeltaBaseSeedTag = 0x9d3c0b1a5eedba5eULL;
-
-  S CopyShard(std::size_t index) const {
-    const Shard& shard = *shards_[index];
+  /// Swaps one shard's contents out under its lock; nullopt when the shard
+  /// observed nothing since the last drain.
+  static std::optional<S> TakeShard(Shard& shard) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    return shard.synopsis;
-  }
-
-  /// CopyShard that also captures the shard's version under the same lock,
-  /// so the (copy, version) pair is consistent.
-  S CopyShardVersioned(std::size_t index, std::uint64_t* version) const {
-    const Shard& shard = *shards_[index];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    *version = shard.version.load(std::memory_order_relaxed);
-    return shard.synopsis;
+    if (shard.synopsis.ObservedInserts() == 0) return std::nullopt;
+    return shard.synopsis.Drain();
   }
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  ShardRouting routing_;
   std::atomic<std::size_t> ticket_{0};
-  mutable std::atomic<std::uint64_t> snapshot_seq_{0};
 };
 
 /// Per-producer insert buffer for a ShardedSynopsis: Add() is lock-free on
@@ -515,7 +219,7 @@ class ShardedBatchInserter {
 
   void Flush() {
     if (buffer_.empty()) return;
-    sharded_->InsertBatch(buffer_, scratch_);
+    sharded_->InsertBatch(buffer_);
     buffer_.clear();
   }
 
@@ -523,10 +227,6 @@ class ShardedBatchInserter {
   ShardedSynopsis<S>* sharded_;
   std::size_t batch_size_;
   std::vector<Value> buffer_;
-  // Private routing scratch: hashes/routes/partitions are computed here,
-  // outside any shard lock, and the vectors keep their capacity across
-  // flushes so a steady-state producer allocates nothing.
-  ShardPartitionScratch scratch_;
 };
 
 }  // namespace aqua

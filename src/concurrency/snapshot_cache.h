@@ -47,18 +47,18 @@ struct SnapshotCacheStats {
 
 /// Epoch-cached synopsis snapshots for the query path.
 ///
-/// ShardedSynopsis::Snapshot() merges per-shard copies on every call — a
-/// per-query cost that grows with shard count and footprint, and the reason
-/// a serving layer cannot sit directly on the sharded ingest structure.
-/// SnapshotCache decouples the two: a *refresher* (typically a lambda
-/// calling Snapshot()) rebuilds a merged snapshot only when the cached one
-/// is older than a staleness bound, and query threads read the current
-/// epoch's `shared_ptr<const S>` atomically — a pointer load instead of a
-/// merge.  This is the standard bounded-staleness trade AQP serving systems
-/// make: answers are already approximate, so serving a snapshot that trails
-/// the ingest frontier by a bounded number of operations (or a bounded wall
-/// interval) costs accuracy that is second-order next to the sampling error
-/// itself.
+/// The ingest structures cannot be read in place by queries: a
+/// SharedSynopsis must be copied under its lock, and a ShardedSynopsis has
+/// to be drained and merged.  SnapshotCache decouples ingest from queries:
+/// a *refresher* builds the next snapshot only when the cached one is
+/// older than a staleness bound (TypedSynopsisHandle's sharded refresher
+/// copies the previous epoch and drains the shards into the copy), and
+/// query threads read the current epoch's `shared_ptr<const S>` — a pointer
+/// load instead of a merge.  This is the standard bounded-staleness trade
+/// AQP serving systems make: answers are already approximate, so serving a
+/// snapshot that trails the ingest frontier by a bounded number of
+/// operations (or a bounded wall interval) costs accuracy that is
+/// second-order next to the sampling error itself.
 ///
 /// Epoch swap, double-buffered: the refresher builds the next snapshot off
 /// to the side while the current epoch keeps serving; the new epoch is then
@@ -87,8 +87,8 @@ struct SnapshotCacheStats {
 template <typename S>
 class SnapshotCache {
  public:
-  /// Rebuilds a merged snapshot from the live synopsis, e.g.
-  /// `[&sharded] { return sharded.Snapshot(); }`.
+  /// Builds the next epoch's snapshot from the live synopsis, e.g. a copy
+  /// of Peek()'s snapshot with ShardedSynopsis::DrainInto applied.
   using Refresher = std::function<Result<S>()>;
 
   struct Options {

@@ -261,37 +261,4 @@ void ExclusivePrefixCounts(std::span<const ValueCount> entries,
   ExclusivePrefixCountsImpl(entries.data(), entries.size(), prefix);
 }
 
-void RouteFromHashes(std::span<const std::uint64_t> hashes,
-                     std::size_t num_shards, std::uint32_t* routes) {
-  AQUA_DCHECK_GE(num_shards, std::size_t{1});
-  for (std::size_t i = 0; i < hashes.size(); ++i) {
-    routes[i] = static_cast<std::uint32_t>(hashes[i] % num_shards);
-  }
-}
-
-void PartitionByShard(std::span<const Value> values, std::size_t num_shards,
-                      ShardPartitionScratch& scratch) {
-  const std::size_t n = values.size();
-  scratch.hashes.resize(n);
-  scratch.routes.resize(n);
-  scratch.values.resize(n);
-  scratch.grouped_hashes.resize(n);
-  scratch.offsets.assign(num_shards + 1, 0);
-
-  HashBatch(values, scratch.hashes.data());
-  RouteFromHashes(scratch.hashes, num_shards, scratch.routes.data());
-
-  // Counting sort by route: count, exclusive prefix sum, stable scatter.
-  for (std::size_t i = 0; i < n; ++i) ++scratch.offsets[scratch.routes[i] + 1];
-  for (std::size_t s = 1; s <= num_shards; ++s) {
-    scratch.offsets[s] += scratch.offsets[s - 1];
-  }
-  scratch.cursors.assign(scratch.offsets.begin(), scratch.offsets.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t at = scratch.cursors[scratch.routes[i]]++;
-    scratch.values[at] = values[i];
-    scratch.grouped_hashes[at] = scratch.hashes[i];
-  }
-}
-
 }  // namespace aqua

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "common/types.h"
 #include "core/value_count.h"
@@ -17,8 +16,8 @@ namespace aqua {
 /// The paper's premise is that the per-update constant is the point; these
 /// kernels shrink it by processing `std::span<const Value>` batches in
 /// vector-width chunks.  Only *deterministic* work is vectorized — hashing
-/// (the SplitMix64 finalizer every synopsis and the shard router share) and
-/// shard routing — never the random stream, which is what keeps batched
+/// (the SplitMix64 finalizer every synopsis shares) and the frozen view's
+/// prefix sums — never the random stream, which is what keeps batched
 /// ingestion draw-for-draw identical to per-element ingestion (the
 /// equivalence the tests in tests/core/batch_kernels_test.cc pin
 /// lane-for-lane against the scalar functor).
@@ -37,34 +36,6 @@ std::string_view BatchKernelName();
 /// to the scalar SplitMix64 finalizer in container/flat_hash_map.h.
 /// `hashes` must have room for values.size() results.
 void HashBatch(std::span<const Value> values, std::uint64_t* hashes);
-
-/// routes[i] = hashes[i] % num_shards — the ShardedSynopsis kByValue route.
-/// The modulo stays scalar (no 64-bit vector divide exists); the point of
-/// the split is that the hash half is vector-width and the hashes are then
-/// reused as map probe hashes downstream.
-void RouteFromHashes(std::span<const std::uint64_t> hashes,
-                     std::size_t num_shards, std::uint32_t* routes);
-
-/// Reusable scratch for PartitionByShard: all vectors retain capacity across
-/// calls so steady-state partitioning allocates nothing.
-struct ShardPartitionScratch {
-  std::vector<std::uint64_t> hashes;   ///< hash per input element
-  std::vector<std::uint32_t> routes;   ///< shard route per input element
-  std::vector<Value> values;           ///< values, grouped by shard
-  std::vector<std::uint64_t> grouped_hashes;  ///< hashes, grouped like values
-  std::vector<std::uint32_t> offsets;  ///< shard s owns [offsets[s], offsets[s+1])
-  std::vector<std::uint32_t> cursors;  ///< scatter cursors (internal)
-};
-
-/// Stable counting-sort partition of `values` into per-shard contiguous
-/// ranges: after the call, shard s's elements are
-/// scratch.values[scratch.offsets[s] .. scratch.offsets[s+1]) with their
-/// hashes alongside in scratch.grouped_hashes.  Stability preserves stream
-/// order within each shard, so each shard's synopsis consumes its random
-/// draws in exactly the order element-at-a-time routing would produce —
-/// the sharded batch path stays draw-for-draw equivalent.
-void PartitionByShard(std::span<const Value> values, std::size_t num_shards,
-                      ShardPartitionScratch& scratch);
 
 /// Exclusive prefix sums over entry counts: prefix[0] = 0,
 /// prefix[i + 1] = prefix[i] + entries[i].count.  `prefix` must have room

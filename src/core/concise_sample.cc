@@ -1,6 +1,7 @@
 #include "core/concise_sample.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/check.h"
 #include "core/batch_kernels.h"
@@ -194,11 +195,21 @@ Status ConciseSample::MergeFrom(const ConciseSample& other) {
   return Status::OK();
 }
 
-void ConciseSample::Reseed(std::uint64_t seed) {
-  random_ = Random(seed);
-  // The pending skip was drawn from the old stream; redraw it so nothing
-  // of the old randomness survives.
-  if (use_skip_counting_) selector_.Reset(random_, 1.0 / threshold_);
+ConciseSample ConciseSample::Drain() {
+  ConciseSample drained = std::move(*this);
+  // The move copied the threshold, the bound and the (trivially copyable)
+  // random stream and skip state; it left the entry table hollow and the
+  // policy null.  Rebuild this sample as an empty one around them, with
+  // the table pre-sized as at construction.
+  static_assert(std::is_trivially_copyable_v<Random> &&
+                std::is_trivially_copyable_v<SkipSampler>);
+  entries_ = FlatHashMap<Value, Count>(PresizeEntries(footprint_bound_));
+  policy_ = drained.policy_;
+  footprint_ = 0;
+  sample_size_ = 0;
+  pairs_ = 0;
+  observed_ = 0;
+  return drained;
 }
 
 void ConciseSample::Select(Value value) {

@@ -89,8 +89,8 @@ class ConciseSample final : public Synopsis {
   void InsertBatch(std::span<const Value> values);
 
   /// InsertBatch with caller-supplied hashes (hashes[i] must equal
-  /// IntegerHash{}(values[i]) — e.g. computed once by the shard router and
-  /// reused here).  Identical behavior to InsertBatch.
+  /// IntegerHash{}(values[i]), e.g. from a caller that already hashed the
+  /// batch).  Identical behavior to InsertBatch.
   void InsertBatchPrehashed(std::span<const Value> values,
                             std::span<const std::uint64_t> hashes);
 
@@ -105,12 +105,16 @@ class ConciseSample final : public Synopsis {
   /// overflow path).  Fails on self-merge.
   Status MergeFrom(const ConciseSample& other);
 
-  /// Replaces the private random stream with a fresh one derived from
-  /// `seed` and redraws the pending skip.  The sample's contents are
-  /// untouched and every future draw is independent of the old stream —
-  /// used on copies (e.g. ShardedSynopsis::Snapshot) so they don't replay
-  /// the original's randomness.  Resets the coin-flip counters.
-  void Reseed(std::uint64_t seed);
+  /// Hands over everything this sample took since its last drain and
+  /// leaves it empty at the same threshold τ, on the same random stream
+  /// with the same pending skip: later inserts are selected exactly as if
+  /// nothing had been taken, so this sample stays a Bernoulli(1/τ) sample
+  /// of the arrivals after the drain (ShardedSynopsis::DrainInto merges the
+  /// returned sample into the epoch).  The entries are moved, not copied;
+  /// the cost is one fresh pre-sized entry table.  The returned sample
+  /// shares this one's random state, so it is for MergeFrom into another
+  /// sample, not for further inserts.
+  ConciseSample Drain();
 
   /// Footprint in words: #distinct represented values + #pairs.
   Words Footprint() const override { return footprint_; }

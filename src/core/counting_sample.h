@@ -81,13 +81,10 @@ class CountingSample final : public Synopsis {
   void InsertBatch(std::span<const Value> values);
 
   /// InsertBatch with caller-supplied hashes (hashes[i] must equal
-  /// IntegerHash{}(values[i]) — e.g. reused from the shard router).
+  /// IntegerHash{}(values[i]), e.g. from a caller that already hashed the
+  /// batch).
   void InsertBatchPrehashed(std::span<const Value> values,
                             std::span<const std::uint64_t> hashes);
-
-  /// Counting samples look up *every* insert, so prehashing a batch ahead
-  /// of the shard lock is always profitable (see ShardedSynopsis).
-  static constexpr bool kHashesEveryInsert = true;
 
   /// Observes one deleted value.  O(1) expected; never fails.
   Status Delete(Value value) override;

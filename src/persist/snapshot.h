@@ -30,7 +30,7 @@ std::vector<std::uint8_t> EncodeSnapshot(const ConciseSample& sample);
 /// Serializes a counting sample.
 std::vector<std::uint8_t> EncodeSnapshot(const CountingSample& sample);
 
-/// Restores a concise sample; `seed` reseeds its random stream.
+/// Restores a concise sample on a fresh random stream drawn from `seed`.
 /// InvalidArgument/OutOfRange on malformed or mismatched input.
 Result<ConciseSample> DecodeConciseSnapshot(
     const std::vector<std::uint8_t>& bytes, std::uint64_t seed);
@@ -45,8 +45,8 @@ Result<CountingSample> DecodeCountingSnapshot(
 /// compression and byte-stable re-encoding).
 std::vector<std::uint8_t> EncodeSnapshot(const ReservoirSample& sample);
 
-/// Restores a reservoir sample; `seed` reseeds its random stream and
-/// re-primes the skip state at the restored position.
+/// Restores a reservoir sample on a fresh random stream drawn from `seed`,
+/// with the skip state re-primed at the restored position.
 Result<ReservoirSample> DecodeReservoirSnapshot(
     const std::vector<std::uint8_t>& bytes, std::uint64_t seed);
 

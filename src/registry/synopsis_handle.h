@@ -17,17 +17,15 @@
 
 namespace aqua {
 
-/// Incremental-refresh observability for one handle: how the dirty-shard
-/// delta merges and the view patch builds have been going.  All zeros /
+/// Refresh observability for one handle: how its sharded epochs were
+/// built and how the view patch builds have been going.  All zeros /
 /// defaults for unsynchronized handles.
 struct RefreshProfile {
-  /// Snapshot re-merges that could not reuse the retained base (first
-  /// refresh, or an in-base shard mutated).
+  /// Sharded epochs built with no previous epoch to drain into.
   std::int64_t full_rebuilds = 0;
-  /// Snapshot re-merges served from the retained base + dirty deltas.
+  /// Sharded epochs built by draining the shards into a copy of the
+  /// previous epoch.
   std::int64_t incremental_rebuilds = 0;
-  /// Dirty-shard fraction of the most recent re-merge (1.0 = everything).
-  double last_delta_fraction = 1.0;
   /// View builds that sorted the full entry set vs patched the previous
   /// epoch's orderings.
   std::int64_t view_full_builds = 0;
@@ -41,11 +39,12 @@ struct RefreshProfile {
 /// A handle wraps a concrete synopsis type together with its declared
 /// capabilities (delete semantics, mergeability, persistence, the per-kind
 /// cost/error model) and the machinery its execution mode needs: unsynchronized
-/// handles hold the synopsis directly; concurrent handles instantiate
-/// ShardedSynopsis (mergeable types) or SharedSynopsis (unmergeable types)
-/// for ingest plus a SnapshotCache for the query path.  The registry only
-/// ever talks to this interface — adding a synopsis type is a registration,
-/// not an engine fork.
+/// handles hold the synopsis directly; concurrent handles ingest through a
+/// ShardedSynopsis (mergeable, drainable types that do not apply deletes;
+/// each epoch is the previous one with the shards drained into it) or a
+/// SharedSynopsis (everything else), and answer from a SnapshotCache of
+/// published epochs.  The registry only ever talks to this interface —
+/// adding a synopsis type is a registration, not an engine fork.
 class SynopsisHandle {
  public:
   virtual ~SynopsisHandle() = default;
@@ -70,7 +69,8 @@ class SynopsisHandle {
   /// unsynchronized handles).
   virtual void OnIngest(std::int64_t n) = 0;
 
-  /// Current words of memory; 0 once invalidated.
+  /// Current words of memory; 0 once invalidated.  A sharded handle
+  /// counts its published epoch plus its shards.
   virtual Words Footprint() const = 0;
 
   /// Pins an answer source over the handle's current state — the live
@@ -110,13 +110,16 @@ class SynopsisHandle {
   virtual bool ViewAnswers(QueryKind kind) const = 0;
 
   /// Serialized state via the descriptor's persist codec; Unimplemented
-  /// when the synopsis declared none.
+  /// when the synopsis declared none.  Concurrent handles refresh first and
+  /// encode the published epoch, so the bytes are exactly what queries
+  /// read.
   virtual Result<std::vector<std::uint8_t>> EncodeState() const = 0;
 
   /// Replaces the handle's state from serialized bytes.  Unsynchronized
   /// handles swap the live synopsis; concurrent handles assign the restored
-  /// state into their storage (shard 0 for sharded handles — recovery runs
-  /// before serving traffic, when the other shards are empty).
+  /// state into their storage (shard 0 for sharded handles, which the next
+  /// drain carries into the epoch — recovery runs before ingest, when the
+  /// other shards and the epoch are empty).
   virtual Status RestoreState(const std::vector<std::uint8_t>& bytes) = 0;
 
   /// Stages a serialized delta (another node's EncodeState bytes) for

@@ -44,11 +44,13 @@ concept DeletableSynopsis = requires(S s, Value v) {
 };
 
 /// Synopses whose independently-built copies merge back into one valid
-/// synopsis.  This is what gates sharded ingest: a concurrent handle for a
-/// shardable type spreads inserts over a ShardedSynopsis and re-merges on
-/// snapshot; everything else stays single-instance behind a SharedSynopsis.
+/// synopsis and whose contents can be drained.  This is what gates sharded
+/// ingest: a concurrent handle for a shardable type that does not apply
+/// deletes spreads inserts over a ShardedSynopsis and drains the shards
+/// into each new epoch; everything else stays single-instance behind a
+/// SharedSynopsis.
 template <typename S>
-concept ShardableSynopsis = Mergeable<S> && Reseedable<S>;
+concept ShardableSynopsis = Mergeable<S> && Drainable<S>;
 
 /// How answers are computed from a pinned snapshot of `S`.  Null entries
 /// mean the synopsis does not answer that kind; each non-null entry must
@@ -150,7 +152,7 @@ struct HandleOptions {
   bool external_refresh = false;
 };
 
-/// One epoch's published state: the merged snapshot plus the read-optimized
+/// One epoch's published state: the snapshot plus the read-optimized
 /// view frozen from it (when the descriptor declares a view builder).  The
 /// SnapshotCache publishes the whole struct under one `shared_ptr` swap, so
 /// a reader that pins an epoch gets a {snapshot, view} pair that is
@@ -240,9 +242,11 @@ class TypedAnswerSource final : public AnswerSource {
 /// its descriptor and instantiates the execution-mode machinery that the
 /// type's capabilities permit —
 ///   unsynchronized: the synopsis inline, answers read it in place;
-///   concurrent + shardable: ShardedSynopsis ingest, merge-on-refresh
-///     SnapshotCache (kByValue routing when deletes must apply exactly);
-///   concurrent + unmergeable: SharedSynopsis ingest, copy-under-lock
+///   concurrent + shardable, deletes not applied: ShardedSynopsis ingest;
+///     each refresh copies the previous epoch's snapshot, drains the
+///     shards into the copy and publishes it, so the epoch is one
+///     long-lived sample kept up like the paper's single instance (§3.1);
+///   concurrent otherwise: SharedSynopsis ingest, copy-under-lock
 ///     SnapshotCache.
 template <RegistrableSynopsis S>
 class TypedSynopsisHandle final : public SynopsisHandle {
@@ -259,7 +263,6 @@ class TypedSynopsisHandle final : public SynopsisHandle {
           descriptor_->model[kind].accuracy_class;
     }
     caps_.mergeable = Mergeable<S>;
-    caps_.reseedable = Reseedable<S>;
     caps_.batch_insertable = BatchInsertable<S>;
     caps_.persistable =
         descriptor_->encode != nullptr && descriptor_->decode != nullptr;
@@ -272,46 +275,29 @@ class TypedSynopsisHandle final : public SynopsisHandle {
         .max_stale_interval = options.cache_max_stale_interval,
         .external_refresh = options.external_refresh};
     if constexpr (ShardableSynopsis<S>) {
-      caps_.sharded = true;
-      // Deletes that must apply exactly need every op on a value to reach
-      // one shard (Theorem 5 stays shard-local); insert-only and
-      // invalidating synopses take the perfectly-balanced routing.
-      const ShardRouting routing =
-          caps_.on_delete == DeleteBehavior::kApplies
-              ? ShardRouting::kByValue
-              : ShardRouting::kRoundRobin;
-      sharded_ = std::make_unique<ShardedSynopsis<S>>(
-          options.shards,
-          [this](std::size_t i) { return descriptor_->factory(ShardSeed(i)); },
-          routing);
-      cache_ = std::make_unique<SnapshotCache<EpochState<S>>>(
-          [this]() -> Result<EpochState<S>> {
-            // Dirty-shard delta merge: quiescent shards fold into a
-            // retained base so successive refreshes copy+merge only the
-            // shards that actually mutated.  The refresher runs under the
-            // cache's refresh mutex, which is what makes the mutable
-            // delta_state_ safe without extra locking.
-            ShardedDeltaStats delta_stats;
-            AQUA_ASSIGN_OR_RETURN(
-                S merged, sharded_->SnapshotDelta(delta_state_, &delta_stats));
-            NoteDeltaStats(delta_stats);
-            return FreezeEpoch(std::move(merged));
-          },
-          cache_options);
-    } else {
-      shared_ = std::make_unique<SharedSynopsis<S>>(
-          descriptor_->factory(ShardSeed(0)));
-      cache_ = std::make_unique<SnapshotCache<EpochState<S>>>(
-          [this]() -> Result<EpochState<S>> {
-            // Unmergeable: the "snapshot" is a copy taken under the shared
-            // lock — still O(footprint), still off the per-query path
-            // thanks to the epoch cache.  The view is built *outside* the
-            // lock, from the copy.
-            return FreezeEpoch(
-                shared_->WithRead([](const S& s) { return s; }));
-          },
-          cache_options);
+      // A drained shard cannot take a delete for a value the epoch already
+      // absorbed, so a synopsis that applies deletes stays single-instance.
+      if (caps_.on_delete != DeleteBehavior::kApplies) {
+        caps_.sharded = true;
+        sharded_ = std::make_unique<ShardedSynopsis<S>>(
+            options.shards, [this](std::size_t i) {
+              return descriptor_->factory(ShardSeed(i));
+            });
+        cache_ = std::make_unique<SnapshotCache<EpochState<S>>>(
+            [this] { return DrainEpoch(); }, cache_options);
+        return;
+      }
     }
+    shared_ = std::make_unique<SharedSynopsis<S>>(
+        descriptor_->factory(ShardSeed(0)));
+    cache_ = std::make_unique<SnapshotCache<EpochState<S>>>(
+        [this]() -> Result<EpochState<S>> {
+          // The "snapshot" is a copy taken under the shared lock — still
+          // O(footprint), still off the per-query path thanks to the epoch
+          // cache.  The view is built *outside* the lock, from the copy.
+          return FreezeEpoch(shared_->WithRead([](const S& s) { return s; }));
+        },
+        cache_options);
   }
 
   TypedSynopsisHandle(const TypedSynopsisHandle&) = delete;
@@ -355,7 +341,6 @@ class TypedSynopsisHandle final : public SynopsisHandle {
       case DeleteBehavior::kApplies:
         if constexpr (DeletableSynopsis<S>) {
           if (live_.has_value()) return live_->Delete(value);
-          if (sharded_ != nullptr) return sharded_->Delete(value);
           if (shared_ != nullptr) return shared_->Delete(value);
         }
         return Status::Internal(std::string(Name()) +
@@ -371,7 +356,13 @@ class TypedSynopsisHandle final : public SynopsisHandle {
   Words Footprint() const override {
     if (!valid()) return 0;
     if (live_.has_value()) return live_->Footprint();
-    if (sharded_ != nullptr) return sharded_->Footprint();
+    if (sharded_ != nullptr) {
+      // The published epoch holds everything drained so far; the shards
+      // hold what arrived since.
+      const std::shared_ptr<const EpochState<S>> state = cache_->Peek();
+      return sharded_->Footprint() +
+             (state != nullptr ? state->snapshot.Footprint() : 0);
+    }
     if (shared_ != nullptr) {
       return shared_->WithRead([](const S& s) { return s.Footprint(); });
     }
@@ -466,21 +457,18 @@ class TypedSynopsisHandle final : public SynopsisHandle {
            state->view->Answers(kind);
   }
 
-  /// A consistent copy of the current state: the live synopsis, the merged
-  /// shard snapshot, or a copy under the shared lock (tests, persistence).
+  /// A copy of the state queries read: the live synopsis (unsynchronized
+  /// mode), or the snapshot of an epoch refreshed for this call (concurrent
+  /// mode), so checkpoints and cluster pushes never miss points still
+  /// sitting in a shard or behind the cache's staleness bound.
   Result<S> StateCopy() const {
     if (!valid()) {
       return Status::FailedPrecondition(std::string(Name()) +
                                         " invalidated by deletions");
     }
     if (live_.has_value()) return S(*live_);
-    if constexpr (ShardableSynopsis<S>) {
-      if (sharded_ != nullptr) return sharded_->Snapshot();
-    }
-    if (shared_ != nullptr) {
-      return shared_->WithRead([](const S& s) { return s; });
-    }
-    return Status::Internal("handle has no storage");
+    AQUA_RETURN_NOT_OK(cache_->Refresh());
+    return S(cache_->Peek()->snapshot);
   }
 
   /// The live synopsis in unsynchronized mode; null otherwise (including
@@ -511,11 +499,11 @@ class TypedSynopsisHandle final : public SynopsisHandle {
       valid_.store(true, std::memory_order_release);
       return Status::OK();
     }
-    // Concurrent mode: recovery runs before serving traffic, so the other
-    // shards are empty and assigning the restored state into shard 0
-    // reconstitutes the whole synopsis (Snapshot() merges empty shards
-    // trivially).  The cache's next refresh — forced by the ingest-ops
-    // report below — publishes it.
+    // Concurrent mode: recovery runs before ingest, so the other shards and
+    // any published epoch are empty, and assigning the restored state into
+    // shard 0 reconstitutes the whole synopsis: the next drain merges it
+    // into an empty epoch, which keeps every point.  The cache's next
+    // refresh — forced by the ingest-ops report below — publishes it.
     if constexpr (std::is_move_assignable_v<S>) {
       if constexpr (ShardableSynopsis<S>) {
         if (sharded_ != nullptr) {
@@ -620,8 +608,6 @@ class TypedSynopsisHandle final : public SynopsisHandle {
     profile.full_rebuilds = full_rebuilds_.load(std::memory_order_relaxed);
     profile.incremental_rebuilds =
         incremental_rebuilds_.load(std::memory_order_relaxed);
-    profile.last_delta_fraction =
-        last_delta_fraction_.load(std::memory_order_relaxed);
     profile.view_full_builds =
         view_full_builds_.load(std::memory_order_relaxed);
     profile.view_patched_builds =
@@ -645,15 +631,25 @@ class TypedSynopsisHandle final : public SynopsisHandle {
         .count();
   }
 
-  /// Records one delta-merge outcome into the refresh profile.
-  void NoteDeltaStats(const ShardedDeltaStats& stats) const {
-    if (stats.full_rebuild) {
-      full_rebuilds_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      incremental_rebuilds_.fetch_add(1, std::memory_order_relaxed);
-    }
-    last_delta_fraction_.store(stats.delta_fraction,
-                               std::memory_order_relaxed);
+  /// The sharded refresher.  The previous epoch's snapshot is the
+  /// long-lived base: copy it, drain every shard's arrivals since the last
+  /// epoch into the copy, and freeze that.  The first epoch starts from an
+  /// empty instance on a stream of its own (ShardSeed(shards) follows every
+  /// shard's).  Runs only inside the cache's refresher, whose refresh mutex
+  /// serializes the drains.  A failed merge fails the refresh and loses
+  /// the points drained in this attempt; the built-in merges cannot fail
+  /// here (they refuse only self-merges and undersized reservoirs).
+  Result<EpochState<S>> DrainEpoch() const
+    requires ShardableSynopsis<S>
+  {
+    const std::shared_ptr<const EpochState<S>> previous = cache_->Peek();
+    S next = previous != nullptr
+                 ? previous->snapshot
+                 : descriptor_->factory(ShardSeed(sharded_->num_shards()));
+    AQUA_RETURN_NOT_OK(sharded_->DrainInto(next));
+    (previous != nullptr ? incremental_rebuilds_ : full_rebuilds_)
+        .fetch_add(1, std::memory_order_relaxed);
+    return FreezeEpoch(std::move(next));
   }
 
   /// Turns a freshly built snapshot into the epoch's published state,
@@ -710,18 +706,15 @@ class TypedSynopsisHandle final : public SynopsisHandle {
   /// Counts PrepareDeltaMerge calls — each decode gets its own seed.
   std::atomic<std::uint64_t> merge_seq_{0};
 
-  /// Refresher-retained state for the incremental refresh path, both
+  /// The previous view's mirror for FrozenView's delta-patch build,
   /// touched only inside the cache's refresher (serialized by its refresh
-  /// mutex): the dirty-shard delta base + per-shard versions, and the
-  /// previous view's mirror for FrozenView's delta-patch build.
-  mutable typename ShardedSynopsis<S>::DeltaState delta_state_;
+  /// mutex).
   mutable FrozenView::PatchScratch view_patch_scratch_;
 
   /// Incremental-refresh profile (see RefreshProfile).  Mutable + relaxed
   /// atomics: written from the (const) refresher, read from /stats.
   mutable std::atomic<std::int64_t> full_rebuilds_{0};
   mutable std::atomic<std::int64_t> incremental_rebuilds_{0};
-  mutable std::atomic<double> last_delta_fraction_{1.0};
   mutable std::atomic<std::int64_t> view_full_builds_{0};
   mutable std::atomic<std::int64_t> view_patched_builds_{0};
   mutable std::atomic<double> last_view_delta_fraction_{1.0};

@@ -75,13 +75,12 @@ struct SynopsisCapabilities {
   DeleteBehavior on_delete = DeleteBehavior::kIgnores;
   /// MergeFrom over disjoint substreams (gates sharded ingest).
   bool mergeable = false;
-  /// Reseed of the private random stream (required for merged snapshots).
-  bool reseedable = false;
   /// Synopsis-level InsertBatch fast path.
   bool batch_insertable = false;
   /// Has a persist encode/decode codec.
   bool persistable = false;
-  /// This handle instance shards its ingest (concurrent mode + mergeable).
+  /// This handle instance shards its ingest (concurrent mode, mergeable
+  /// and drainable, deletes not applied).
   bool sharded = false;
   std::array<KindModelInfo, kNumQueryKinds> model = {};
 

@@ -182,16 +182,17 @@ Status ReservoirSample::MergeFrom(const ReservoirSample& other) {
   return Status::OK();
 }
 
-void ReservoirSample::Reseed(std::uint64_t seed) {
-  random_ = Random(seed);
-  if (SampleSize() == capacity_) {
-    // Steady state: the pending skip (and L's w_) came from the old
-    // stream; re-derive them from the new one.  Exact for X; for L the
-    // order-statistic re-draw is the same one MergeFrom uses.
-    PrimeSkipAfterMerge();
-  } else {
-    skip_ = 0;  // still filling; the transition in Insert() will prime
-  }
+ReservoirSample ReservoirSample::Drain() {
+  ReservoirSample drained = std::move(*this);
+  // The move copied the capacity, the algorithm and the random stream and
+  // took the points.  Restart as an empty reservoir: its fill phase primes
+  // the skip state again, as after construction.
+  points_ = std::vector<Value>();
+  points_.reserve(static_cast<std::size_t>(capacity_));
+  observed_ = 0;
+  skip_ = 0;
+  w_ = 0.0;
+  return drained;
 }
 
 void ReservoirSample::PrimeSkipAfterMerge() {

@@ -46,8 +46,7 @@ class ReservoirSample final : public Synopsis {
   /// the invariant a live reservoir maintains; anything else is corrupt
   /// input and fails with InvalidArgument rather than aborting.  The
   /// restored sample draws from a fresh stream derived from `seed` with the
-  /// skip state re-primed for the restored stream position, exactly like
-  /// Reseed() on a copy.
+  /// skip state re-primed for the restored stream position.
   static Result<ReservoirSample> Restore(std::int64_t capacity,
                                          std::uint64_t seed,
                                          ReservoirAlgorithm algorithm,
@@ -74,12 +73,14 @@ class ReservoirSample final : public Synopsis {
   /// could need from it (its capacity is smaller than this one's).
   Status MergeFrom(const ReservoirSample& other);
 
-  /// Replaces the private random stream with a fresh one derived from
-  /// `seed` and re-primes the skip state (for X/L) from the new stream.
-  /// The sample points are untouched and every future draw is independent
-  /// of the old stream — used on copies (e.g. ShardedSynopsis::Snapshot)
-  /// so they don't replay the original's randomness.
-  void Reseed(std::uint64_t seed);
+  /// Hands over the reservoir of everything observed since the last drain
+  /// and restarts this one empty, on the same random stream: it then
+  /// samples the arrivals after the drain as a fresh reservoir would, and
+  /// ShardedSynopsis::DrainInto merges the returned reservoir into the
+  /// epoch.  O(1) apart from re-reserving the point slots.  The returned
+  /// reservoir shares this one's random state, so it is for MergeFrom into
+  /// another reservoir, not for further inserts.
+  ReservoirSample Drain();
 
   /// Footprint = capacity in words (one word per sample point slot).  The
   /// paper charges the traditional baseline its full prespecified footprint.

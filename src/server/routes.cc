@@ -117,7 +117,6 @@ void WriteSynopsisStats(JsonWriter& w,
     w.Key("refresh").BeginObject();
     w.Key("full_rebuilds").Int(s.refresh.full_rebuilds);
     w.Key("incremental_rebuilds").Int(s.refresh.incremental_rebuilds);
-    w.Key("delta_fraction").Double(s.refresh.last_delta_fraction);
     w.Key("view_full_builds").Int(s.refresh.view_full_builds);
     w.Key("view_patched_builds").Int(s.refresh.view_patched_builds);
     w.Key("view_delta_fraction").Double(s.refresh.last_view_delta_fraction);

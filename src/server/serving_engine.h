@@ -40,14 +40,15 @@ struct ServingEngineOptions : SynopsisSelection {
 ///
 /// Like the warehouse engine, this is now a thin driver over one
 /// SynopsisRegistry — in concurrent mode, so each handle instantiates the
-/// machinery its capabilities permit: mergeable synopses
-/// (concise/traditional) shard their ingest across per-lock shards and
-/// re-merge on snapshot refresh; unmergeable ones (counting sample, FM
-/// sketch) stay single-instance behind one mutex with copy-on-refresh
-/// snapshots.  Every query kind answers from epoch-cached snapshots
-/// (SnapshotCache) through the planner (RunPlannedQueryInto on registry());
-/// deletes follow §4.1 per-synopsis semantics and are refused entirely
-/// when no delete-capable synopsis is maintained.
+/// machinery its capabilities permit: the insert-only mergeable synopses
+/// (concise/traditional) shard their ingest across per-lock shards, and
+/// each refresh drains the shards into a copy of the previous epoch; the
+/// rest (counting sample, FM sketch) stay single-instance behind one mutex
+/// with copy-on-refresh snapshots.  Every query kind answers from
+/// epoch-cached snapshots (SnapshotCache) through the planner
+/// (RunPlannedQueryInto on registry()); deletes follow §4.1 per-synopsis
+/// semantics and are refused entirely when no delete-capable synopsis is
+/// maintained.
 class ServingEngine {
  public:
   explicit ServingEngine(const ServingEngineOptions& options);

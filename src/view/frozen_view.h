@@ -135,7 +135,7 @@ class FrozenView {
   /// rebuild's by construction; prefix sums and moments are recomputed in
   /// value order exactly as the full constructor does.  Falls back to
   /// full sorts (still bit-identical, trivially) when the delta exceeds
-  /// half the entry set, and reseeds the mirror when `previous` is not
+  /// half the entry set, and rebuilds the mirror when `previous` is not
   /// the view this scratch last produced.
   FrozenView(Spec spec, const FrozenView& previous, PatchScratch& scratch,
              ViewPatchStats* stats = nullptr);

@@ -59,7 +59,9 @@ Status SynopsisCatalog::Seal() {
   // fixed sketch words (the FM sketch's footprint does not scale with its
   // bound), then divided equally among the selected sample synopses;
   // sharded (mergeable) synopses split their per-synopsis slice across
-  // shards so the attribute's total footprint stays within its share.
+  // shards so the attribute's ingest side stays within its share.  A
+  // published epoch holds one more shard's bound on top (the handles'
+  // footprints count it).
   std::uint64_t seed = options_.seed;
   for (auto& [name, attribute] : attributes_) {
     const double fraction = attribute.options.weight / total_weight;

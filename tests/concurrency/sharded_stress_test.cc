@@ -1,10 +1,10 @@
-// Concurrency stress tests: Snapshot() racing InsertBatch()/Delete() on a
-// ShardedSynopsis under both routing policies, and SnapshotCache readers
-// racing ingest-side OnOps() and forced Refresh() calls.  The assertions
-// are deliberately weak (counts within the bounds the interleaving allows,
-// merged snapshots structurally valid) — the tests' real teeth are the
-// ThreadSanitizer CI job, which fails on any data race these interleavings
-// expose.
+// Concurrency stress tests: DrainInto() racing InsertBatch() on a
+// ShardedSynopsis, a sharded handle's epoch refreshes racing four
+// producers, and SnapshotCache readers racing ingest-side OnOps() and
+// forced Refresh() calls.  Apart from the exactly-once insert counts, the
+// assertions are deliberately weak (counts only grow, epochs structurally
+// valid) — the tests' real teeth are the ThreadSanitizer CI job, which
+// fails on any data race these interleavings expose.
 //
 // The container pins us to few cores, so each test keeps thread counts
 // small and iteration counts moderate; TSan's happens-before analysis does
@@ -12,7 +12,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -21,8 +24,9 @@
 #include "concurrency/sharded_synopsis.h"
 #include "concurrency/snapshot_cache.h"
 #include "core/concise_sample.h"
-#include "core/counting_sample.h"
 #include "random/xoshiro256.h"
+#include "registry/builtin.h"
+#include "registry/typed_handle.h"
 #include "workload/generators.h"
 
 namespace aqua {
@@ -36,12 +40,17 @@ ConciseSample MakeConciseShard(std::size_t i, Words footprint = 512) {
   return ConciseSample(options);
 }
 
-CountingSample MakeCountingShard(std::size_t i, Words footprint = 512) {
-  CountingSampleOptions options;
-  options.footprint_bound = footprint;
-  std::uint64_t sm = 0xD0D0 ^ (0x9e3779b97f4a7c15ULL * (i + 1));
-  options.seed = SplitMix64Next(sm);
-  return CountingSample(options);
+/// A refresher in the sharded handle's shape: each epoch is the previous
+/// one with the shards drained into it.  The cache's refresh mutex
+/// serializes calls, so the running epoch needs no lock of its own.
+std::function<Result<ConciseSample>()> DrainingRefresher(
+    ShardedSynopsis<ConciseSample>& sharded) {
+  auto epoch = std::make_shared<ConciseSample>(
+      MakeConciseShard(sharded.num_shards()));
+  return [&sharded, epoch]() -> Result<ConciseSample> {
+    AQUA_RETURN_NOT_OK(sharded.DrainInto(*epoch));
+    return *epoch;
+  };
 }
 
 TEST(ShardedStress, SnapshotRacesInsertBatchRoundRobin) {
@@ -50,8 +59,7 @@ TEST(ShardedStress, SnapshotRacesInsertBatchRoundRobin) {
   constexpr int kBatches = 200;
   constexpr std::size_t kBatch = 256;
   ShardedSynopsis<ConciseSample> sharded(
-      kShards, [](std::size_t i) { return MakeConciseShard(i); },
-      ShardRouting::kRoundRobin);
+      kShards, [](std::size_t i) { return MakeConciseShard(i); });
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
@@ -65,102 +73,83 @@ TEST(ShardedStress, SnapshotRacesInsertBatchRoundRobin) {
       }
     });
   }
-  std::thread reader([&sharded, &stop] {
+  ConciseSample epoch = MakeConciseShard(kShards);
+  std::thread drainer([&sharded, &stop, &epoch] {
     std::int64_t last = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      const Result<ConciseSample> snapshot = sharded.Snapshot();
-      ASSERT_TRUE(snapshot.ok());
-      // Observed inserts only grow; a merged snapshot reflects some prefix
-      // of each shard's stream.
-      const std::int64_t n = snapshot.ValueOrDie().ObservedInserts();
+      ASSERT_TRUE(sharded.DrainInto(epoch).ok());
+      // The epoch only grows: each drain adds some prefix of what each
+      // shard took since the previous one.
+      const std::int64_t n = epoch.ObservedInserts();
       EXPECT_GE(n, last);
       last = n;
     }
   });
   for (auto& w : writers) w.join();
   stop.store(true, std::memory_order_release);
-  reader.join();
+  drainer.join();
 
-  const Result<ConciseSample> final_snapshot = sharded.Snapshot();
-  ASSERT_TRUE(final_snapshot.ok());
-  EXPECT_EQ(final_snapshot.ValueOrDie().ObservedInserts(),
+  ASSERT_TRUE(sharded.DrainInto(epoch).ok());
+  EXPECT_EQ(epoch.ObservedInserts(),
             static_cast<std::int64_t>(kWriters * kBatches * kBatch));
+  EXPECT_EQ(sharded.ObservedInserts(), 0);
+  EXPECT_TRUE(epoch.Validate().ok());
 }
 
-TEST(ShardedStress, SnapshotRacesInsertAndDeleteByValue) {
-  constexpr std::size_t kShards = 4;
-  ShardedSynopsis<CountingSample> sharded(
-      kShards, [](std::size_t i) { return MakeCountingShard(i); },
-      ShardRouting::kByValue);
-
-  // Seed every value with enough occurrences that concurrent deletes always
-  // find something to delete on the owning shard.
-  std::vector<Value> warmup;
-  for (Value v = 1; v <= 64; ++v) {
-    for (int i = 0; i < 50; ++i) warmup.push_back(v);
-  }
-  sharded.InsertBatch(warmup);
+TEST(ShardedStress, DrainRacesInsertBatch) {
+  // Four producers ingest through a sharded handle while a fifth thread
+  // refreshes its epoch cache in a loop (every settle is stale, so each
+  // one drains the shards into a copy of the previous epoch).  Every
+  // insert must reach the epoch exactly once: none lost in a shard, none
+  // merged twice.
+  constexpr int kProducers = 4;
+  constexpr int kBatches = 150;
+  constexpr std::size_t kBatch = 256;
+  HandleOptions options;
+  options.mode = ExecutionMode::kConcurrent;
+  options.shards = 4;
+  options.seed = 0x5EED;
+  options.cache_max_stale_ops = 0;
+  options.cache_max_stale_interval = std::chrono::nanoseconds(1);
+  TypedSynopsisHandle<ConciseSample> handle(ConciseSampleDescriptor(512),
+                                            options);
 
   std::atomic<bool> stop{false};
-  std::thread inserter([&sharded] {
-    const std::vector<Value> values = ZipfValues(20000, 64, 0.5, 1234);
-    for (std::size_t off = 0; off < values.size(); off += 128) {
-      const std::size_t len = std::min<std::size_t>(128, values.size() - off);
-      sharded.InsertBatch(std::span<const Value>(values.data() + off, len));
-    }
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&handle, p] {
+      const std::vector<Value> values =
+          ZipfValues(kBatches * static_cast<std::int64_t>(kBatch), 2000, 1.0,
+                     0xD0 + static_cast<std::uint64_t>(p));
+      for (std::size_t off = 0; off < values.size(); off += kBatch) {
+        handle.InsertBatch(
+            std::span<const Value>(values.data() + off, kBatch));
+        handle.OnIngest(static_cast<std::int64_t>(kBatch));
+      }
+    });
+  }
+  std::thread refresher([&handle, &stop] {
+    while (!stop.load(std::memory_order_acquire)) handle.SettleCache();
   });
-  std::thread deleter([&sharded] {
-    Xoshiro256 rng(4321);
-    for (int i = 0; i < 2000; ++i) {
-      // Every value has >= 50 seeded occurrences and only 2000 deletes run,
-      // so deletes of present values must succeed (Theorem 5 exactness).
-      const Value v = static_cast<Value>(1 + rng() % 64);
-      const Status status = sharded.Delete(v);
-      EXPECT_TRUE(status.ok()) << status.message();
-    }
-  });
-  std::thread reader([&sharded, &stop] {
-    // Counting samples are unmergeable (no Snapshot()); race the read path
-    // that exists: per-shard locked reads of the aggregate count and a
-    // shard-local copy under the shard lock.
-    while (!stop.load(std::memory_order_acquire)) {
-      EXPECT_GE(sharded.ObservedInserts(), 0);
-      sharded.WithShard(0, [](const CountingSample& shard) {
-        const CountingSample copy = shard;
-        EXPECT_GE(copy.ObservedInserts(), 0);
-        return 0;
-      });
-    }
-  });
-  inserter.join();
-  deleter.join();
+  for (auto& p : producers) p.join();
   stop.store(true, std::memory_order_release);
-  reader.join();
+  refresher.join();
 
-  // ObservedInserts counts the insert stream only (deletes adjust counts,
-  // not n); every one of warmup + 20000 inserts must be accounted for.
-  const std::int64_t expected =
-      static_cast<std::int64_t>(warmup.size()) + 20000;
-  EXPECT_EQ(sharded.ObservedInserts(), expected);
-}
-
-TEST(ShardedStress, RoundRobinDeleteRefusedDuringRace) {
-  ShardedSynopsis<CountingSample> sharded(
-      2, [](std::size_t i) { return MakeCountingShard(i); },
-      ShardRouting::kRoundRobin);
-  sharded.InsertBatch(std::vector<Value>(100, 7));
-  const Status status = sharded.Delete(7);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  handle.SettleCache();
+  const Result<ConciseSample> epoch = handle.StateCopy();
+  ASSERT_TRUE(epoch.ok());
+  EXPECT_EQ(epoch.ValueOrDie().ObservedInserts(),
+            static_cast<std::int64_t>(kProducers * kBatches * kBatch));
+  EXPECT_TRUE(epoch.ValueOrDie().Validate().ok());
+  EXPECT_GT(handle.GetRefreshProfile().incremental_rebuilds, 0);
 }
 
 TEST(SnapshotCacheStress, GetRacesOnOpsAndRefresh) {
   constexpr std::size_t kShards = 4;
   ShardedSynopsis<ConciseSample> sharded(
-      kShards, [](std::size_t i) { return MakeConciseShard(i); },
-      ShardRouting::kRoundRobin);
+      kShards, [](std::size_t i) { return MakeConciseShard(i); });
   SnapshotCache<ConciseSample> cache(
-      [&sharded] { return sharded.Snapshot(); },
+      DrainingRefresher(sharded),
       {.max_stale_ops = 512,
        .max_stale_interval = std::chrono::milliseconds(1)});
 
@@ -208,11 +197,10 @@ TEST(SnapshotCacheStress, GetRacesOnOpsAndRefresh) {
 
 TEST(SnapshotCacheStress, PinnedEpochSurvivesConcurrentSwaps) {
   ShardedSynopsis<ConciseSample> sharded(
-      2, [](std::size_t i) { return MakeConciseShard(i); },
-      ShardRouting::kRoundRobin);
+      2, [](std::size_t i) { return MakeConciseShard(i); });
   sharded.InsertBatch(std::vector<Value>(1000, 42));
   SnapshotCache<ConciseSample> cache(
-      [&sharded] { return sharded.Snapshot(); },
+      DrainingRefresher(sharded),
       {.max_stale_ops = 1, .max_stale_interval = std::chrono::nanoseconds(0)});
 
   // Pin an epoch, then force many swaps; the pinned snapshot must stay

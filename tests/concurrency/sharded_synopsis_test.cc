@@ -3,25 +3,48 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/concise_sample.h"
-#include "core/counting_sample.h"
 #include "sample/reservoir_sample.h"
 #include "workload/generators.h"
 
 namespace aqua {
 namespace {
 
+ConciseSample MakeConcise(Words footprint, std::uint64_t seed,
+                          std::size_t i) {
+  ConciseSampleOptions o;
+  o.footprint_bound = footprint;
+  o.seed = seed + 7919ULL * (i + 1);
+  return ConciseSample(o);
+}
+
 ShardedSynopsis<ConciseSample> MakeConciseShards(std::size_t shards,
                                                  Words footprint,
                                                  std::uint64_t seed) {
   return ShardedSynopsis<ConciseSample>(shards, [&](std::size_t i) {
-    return ConciseSample(ConciseSampleOptions{
-        .footprint_bound = footprint,
-        .seed = seed + 7919ULL * (i + 1)});
+    return MakeConcise(footprint, seed, i);
   });
+}
+
+/// The drain target a handle starts from: an empty sample on a stream of
+/// its own (index `shards`, past every shard's).
+ConciseSample MakeEpoch(std::size_t shards, Words footprint,
+                        std::uint64_t seed) {
+  return MakeConcise(footprint, seed, shards);
+}
+
+std::vector<ValueCount> SortedEntries(const ConciseSample& s) {
+  std::vector<ValueCount> entries = s.Entries();
+  std::sort(entries.begin(), entries.end(),
+            [](const ValueCount& a, const ValueCount& b) {
+              return a.value < b.value;
+            });
+  return entries;
 }
 
 TEST(ShardedSynopsisTest, AllInsertsLandInSomeShard) {
@@ -54,11 +77,12 @@ TEST(ShardedSynopsisTest, ConcurrentProducersAllObserved) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(sharded.ObservedInserts(), kThreads * kPerThread);
-  auto snapshot = sharded.Snapshot();
-  ASSERT_TRUE(snapshot.ok());
-  EXPECT_EQ(snapshot->ObservedInserts(), kThreads * kPerThread);
-  EXPECT_TRUE(snapshot->Validate().ok());
-  EXPECT_LE(snapshot->Footprint(), 300);
+  ConciseSample epoch = MakeEpoch(8, 300, 20);
+  ASSERT_TRUE(sharded.DrainInto(epoch).ok());
+  EXPECT_EQ(epoch.ObservedInserts(), kThreads * kPerThread);
+  EXPECT_EQ(sharded.ObservedInserts(), 0);
+  EXPECT_TRUE(epoch.Validate().ok());
+  EXPECT_LE(epoch.Footprint(), 300);
 }
 
 TEST(ShardedSynopsisTest, SnapshotThresholdCoversEveryShard) {
@@ -67,15 +91,25 @@ TEST(ShardedSynopsisTest, SnapshotThresholdCoversEveryShard) {
   ShardedBatchInserter<ConciseSample> inserter(&sharded, 1024);
   for (Value v : data) inserter.Add(v);
   inserter.Flush();
-  auto snapshot = sharded.Snapshot();
-  ASSERT_TRUE(snapshot.ok());
-  // Theorem-2 alignment: the merged threshold is at least every shard's.
+  std::vector<double> shard_tau;
   for (std::size_t i = 0; i < sharded.num_shards(); ++i) {
-    const double shard_tau = sharded.WithShard(
-        i, [](const ConciseSample& s) { return s.Threshold(); });
-    EXPECT_GE(snapshot->Threshold(), shard_tau);
+    shard_tau.push_back(sharded.WithShard(
+        i, [](const ConciseSample& s) { return s.Threshold(); }));
   }
-  EXPECT_TRUE(snapshot->Validate().ok());
+  ConciseSample epoch = MakeEpoch(4, 100, 30);
+  ASSERT_TRUE(sharded.DrainInto(epoch).ok());
+  EXPECT_TRUE(epoch.Validate().ok());
+  for (std::size_t i = 0; i < sharded.num_shards(); ++i) {
+    // Theorem-2 alignment: the epoch's threshold is at least every
+    // shard's; and each drained shard is empty at its own threshold.
+    EXPECT_GE(epoch.Threshold(), shard_tau[i]);
+    sharded.WithShard(i, [&](const ConciseSample& s) {
+      EXPECT_DOUBLE_EQ(s.Threshold(), shard_tau[i]);
+      EXPECT_EQ(s.Footprint(), 0);
+      EXPECT_TRUE(s.Validate().ok());
+      return 0;
+    });
+  }
 }
 
 TEST(ShardedSynopsisTest, SnapshotOfReservoirShards) {
@@ -86,129 +120,28 @@ TEST(ShardedSynopsisTest, SnapshotOfReservoirShards) {
   ShardedBatchInserter<ReservoirSample> inserter(&sharded, 512);
   for (Value v : data) inserter.Add(v);
   inserter.Flush();
-  auto snapshot = sharded.Snapshot();
-  ASSERT_TRUE(snapshot.ok());
-  EXPECT_EQ(snapshot->ObservedInserts(), 100000);
-  EXPECT_EQ(snapshot->SampleSize(), 500);
-  // Merged reservoir keeps ingesting correctly.
-  for (Value v : UniformValues(50000, 2000, 42)) snapshot->Insert(v);
-  EXPECT_EQ(snapshot->ObservedInserts(), 150000);
-  EXPECT_EQ(snapshot->SampleSize(), 500);
-}
-
-ShardedSynopsis<CountingSample> MakeCountingShards(std::size_t shards,
-                                                   ShardRouting routing) {
-  return ShardedSynopsis<CountingSample>(
-      shards,
-      [](std::size_t i) {
-        return CountingSample(CountingSampleOptions{
-            .footprint_bound = 100,
-            .seed = 50 + static_cast<std::uint64_t>(i)});
-      },
-      routing);
-}
-
-TEST(ShardedSynopsisTest, DeleteRefusedUnderRoundRobin) {
-  // Round-robin spreads a value's inserts across shards, so a delete has
-  // no shard it can correctly land on; it must be refused, not silently
-  // misapplied.
-  auto sharded = MakeCountingShards(2, ShardRouting::kRoundRobin);
-  sharded.Insert(7);
-  EXPECT_TRUE(sharded.Delete(7).IsFailedPrecondition());
-}
-
-TEST(ShardedSynopsisTest, ValueRoutedDeleteReachesTheInsertingShard) {
-  // Regression: with round-robin routing, one insert of v followed by one
-  // delete of v could leave aggregate count 1 (the delete no-op'd on a
-  // shard that never saw v).  Value routing sends both to the same shard.
-  auto sharded = MakeCountingShards(2, ShardRouting::kByValue);
-  for (Value v = 0; v < 8; ++v) {
-    sharded.Insert(v);
-    ASSERT_TRUE(sharded.Delete(v).ok());
-  }
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < 2; ++i) {
-    total += sharded.WithShard(i, [](const CountingSample& s) {
-      EXPECT_TRUE(s.Validate().ok());
-      std::int64_t count = 0;
-      for (Value v = 0; v < 8; ++v) count += s.CountOf(v);
-      return count;
-    });
-  }
-  EXPECT_EQ(total, 0);  // τ stays 1 under bound 100, so counts are exact
-}
-
-TEST(ShardedSynopsisTest, ValueRoutedCountsStayExactUnderDeletes) {
-  auto sharded = MakeCountingShards(2, ShardRouting::kByValue);
-  for (int i = 0; i < 1000; ++i) sharded.Insert(7);
-  ASSERT_TRUE(sharded.Delete(7).ok());
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < 2; ++i) {
-    total += sharded.WithShard(i, [](const CountingSample& s) {
-      EXPECT_TRUE(s.Validate().ok());
-      return s.CountOf(7);
-    });
-  }
-  EXPECT_EQ(total, 999);  // τ stays 1 under bound 100 with one value
-}
-
-TEST(ShardedSynopsisTest, ValueRoutedBatchKeepsValuesOnTheirShard) {
-  // InsertBatch under kByValue must partition the batch the same way
-  // Insert routes single values, or deletes would miss batched inserts.
-  auto sharded = MakeCountingShards(4, ShardRouting::kByValue);
-  std::vector<Value> batch;
-  for (int rep = 0; rep < 10; ++rep) {
-    for (Value v = 0; v < 40; ++v) batch.push_back(v);
-  }
-  sharded.InsertBatch(batch);
-  EXPECT_EQ(sharded.ObservedInserts(), 400);
-  for (Value v = 0; v < 40; ++v) {
-    ASSERT_TRUE(sharded.Delete(v).ok());
-    // All 10 occurrences live on the owning shard: count is now exactly 9.
-    const std::size_t owner = sharded.ShardForValue(v);
-    const Count count = sharded.WithShard(
-        owner, [v](const CountingSample& s) { return s.CountOf(v); });
-    EXPECT_EQ(count, 9);
-  }
-}
-
-TEST(ShardedSynopsisTest, SnapshotsDrawIndependentRandomness) {
-  // Snapshot() starts from a copy of shard 0; without a reseed its merge
-  // draws would replay shard 0's future stream and successive snapshots
-  // would be byte-identical.  Force merge-time subsampling (per-shard
-  // footprints sum past the bound) and check two snapshots of the same
-  // frozen state diverge.
-  auto sharded = MakeConciseShards(4, 100, 90);
-  const std::vector<Value> data = ZipfValues(200000, 5000, 0.5, 91);
-  ShardedBatchInserter<ConciseSample> inserter(&sharded, 1024);
-  for (Value v : data) inserter.Add(v);
-  inserter.Flush();
-
-  auto first = sharded.Snapshot();
-  auto second = sharded.Snapshot();
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(first->Validate().ok());
-  EXPECT_TRUE(second->Validate().ok());
-  auto sorted_entries = [](const ConciseSample& s) {
-    std::vector<ValueCount> entries = s.Entries();
-    std::sort(entries.begin(), entries.end(),
-              [](const ValueCount& a, const ValueCount& b) {
-                return a.value < b.value;
-              });
-    return entries;
-  };
-  EXPECT_NE(sorted_entries(*first), sorted_entries(*second))
-      << "two snapshots replayed identical merge randomness";
+  ReservoirSample epoch(500, 44);
+  ASSERT_TRUE(sharded.DrainInto(epoch).ok());
+  EXPECT_EQ(epoch.ObservedInserts(), 100000);
+  EXPECT_EQ(epoch.SampleSize(), 500);
+  // Drained shards restart empty and the next drain extends the epoch.
+  for (Value v : UniformValues(50000, 2000, 42)) sharded.Insert(v);
+  ASSERT_TRUE(sharded.DrainInto(epoch).ok());
+  EXPECT_EQ(epoch.ObservedInserts(), 150000);
+  EXPECT_EQ(epoch.SampleSize(), 500);
+  // The epoch keeps ingesting correctly on its own too.
+  for (Value v : UniformValues(10000, 2000, 43)) epoch.Insert(v);
+  EXPECT_EQ(epoch.ObservedInserts(), 160000);
+  EXPECT_EQ(epoch.SampleSize(), 500);
 }
 
 TEST(ShardedSynopsisTest, SingleShardDegeneratesToShared) {
   auto sharded = MakeConciseShards(1, 100, 60);
   for (Value v : ZipfValues(20000, 100, 1.0, 61)) sharded.Insert(v);
-  auto snapshot = sharded.Snapshot();
-  ASSERT_TRUE(snapshot.ok());
-  EXPECT_EQ(snapshot->ObservedInserts(), 20000);
-  EXPECT_TRUE(snapshot->Validate().ok());
+  ConciseSample epoch = MakeEpoch(1, 100, 60);
+  ASSERT_TRUE(sharded.DrainInto(epoch).ok());
+  EXPECT_EQ(epoch.ObservedInserts(), 20000);
+  EXPECT_TRUE(epoch.Validate().ok());
 }
 
 TEST(SharedSynopsisTest, InsertBatchRoutesThroughFastPath) {
@@ -232,148 +165,77 @@ TEST(SharedSynopsisTest, InsertBatchRoutesThroughFastPath) {
   });
 }
 
-TEST(ShardedSynopsisTest, ShardVersionsBumpOnEveryMutatingPath) {
-  auto sharded = MakeConciseShards(2, 200, 80);
-  EXPECT_EQ(sharded.ShardVersion(0), 0u);
-  EXPECT_EQ(sharded.ShardVersion(1), 0u);
-
-  sharded.Insert(1);
-  EXPECT_EQ(sharded.ShardVersion(0) + sharded.ShardVersion(1), 1u);
-
-  const std::vector<Value> batch{1, 2, 3, 4};
-  sharded.InsertBatch(batch);
-  const std::uint64_t after_batch =
-      sharded.ShardVersion(0) + sharded.ShardVersion(1);
-  EXPECT_GT(after_batch, 1u);
-
-  sharded.WithShardMutable(0, [](ConciseSample& s) {
-    s.Insert(99);
-    return 0;
-  });
-  EXPECT_EQ(sharded.ShardVersion(0) + sharded.ShardVersion(1),
-            after_batch + 1);
-
-  // Read-only accessors must not bump.
-  sharded.WithShard(0, [](const ConciseSample&) { return 0; });
-  (void)sharded.Snapshot();
-  EXPECT_EQ(sharded.ShardVersion(0) + sharded.ShardVersion(1),
-            after_batch + 1);
-}
-
-TEST(ShardedSynopsisTest, SnapshotDeltaFoldsQuiescentShardsIntoBase) {
+TEST(ShardedSynopsisTest, DrainEmptiesEveryShardIntoTheTarget) {
   auto sharded = MakeConciseShards(4, 4096, 90);
-  for (Value v : ZipfValues(8000, 300, 1.0, 91)) sharded.Insert(v);
+  const std::vector<Value> data = ZipfValues(8000, 300, 1.0, 91);
+  for (Value v : data) sharded.Insert(v);
 
-  ShardedSynopsis<ConciseSample>::DeltaState state;
-  ShardedDeltaStats stats;
+  ConciseSample epoch = MakeEpoch(4, 4096, 90);
+  ASSERT_TRUE(sharded.DrainInto(epoch).ok());
+  EXPECT_EQ(epoch.ObservedInserts(), 8000);
+  EXPECT_EQ(epoch.SampleSize(), 8000);  // τ stays 1 under bound 4096
+  EXPECT_EQ(sharded.ObservedInserts(), 0);
+  EXPECT_EQ(sharded.Footprint(), 0);
 
-  // First call: no base exists — every shard is merged from scratch.
-  auto first = sharded.SnapshotDelta(state, &stats);
-  ASSERT_TRUE(first.ok());
-  EXPECT_TRUE(stats.full_rebuild);
-  EXPECT_EQ(stats.merged_shards, 4u);
-  EXPECT_EQ(stats.base_shards, 0u);
-  EXPECT_EQ(first->ObservedInserts(), 8000);
-
-  // Second call, nothing mutated: every shard is quiescent across a whole
-  // window, so the call both merges them and folds them into the base.
-  auto second = sharded.SnapshotDelta(state, &stats);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->ObservedInserts(), 8000);
-
-  // Third call: the entire shard set is covered by the retained base — no
-  // shard copy, no merge.
-  auto third = sharded.SnapshotDelta(state, &stats);
-  ASSERT_TRUE(third.ok());
-  EXPECT_FALSE(stats.full_rebuild);
-  EXPECT_EQ(stats.merged_shards, 0u);
-  EXPECT_EQ(stats.base_shards, 4u);
-  EXPECT_EQ(stats.delta_fraction, 0.0);
-  EXPECT_EQ(third->ObservedInserts(), 8000);
-  EXPECT_TRUE(third->Validate().ok());
+  // Nothing arrived since: a second drain leaves the epoch as it was.
+  const std::vector<ValueCount> before = SortedEntries(epoch);
+  ASSERT_TRUE(sharded.DrainInto(epoch).ok());
+  EXPECT_EQ(SortedEntries(epoch), before);
+  EXPECT_EQ(epoch.ObservedInserts(), 8000);
+  EXPECT_TRUE(epoch.Validate().ok());
 }
 
-TEST(ShardedSynopsisTest, SnapshotDeltaMergesOnlyDirtyShards) {
-  auto sharded = MakeConciseShards(4, 4096, 95);
-  for (Value v : ZipfValues(8000, 300, 1.0, 96)) sharded.Insert(v);
+/// A drainable, mergeable probe that counts the merges it absorbs.
+struct MergeProbe {
+  std::int64_t observed = 0;
+  int merges = 0;
+  void Insert(Value) { ++observed; }
+  std::int64_t ObservedInserts() const { return observed; }
+  Status MergeFrom(const MergeProbe& other) {
+    ++merges;
+    observed += other.observed;
+    return Status::OK();
+  }
+  MergeProbe Drain() { return MergeProbe{std::exchange(observed, 0), 0}; }
+};
 
-  ShardedSynopsis<ConciseSample>::DeltaState state;
-  ShardedDeltaStats stats;
-  ASSERT_TRUE(sharded.SnapshotDelta(state, &stats).ok());
+TEST(ShardedSynopsisTest, DrainSkipsShardsWithoutInserts) {
+  ShardedSynopsis<MergeProbe> sharded(
+      4, [](std::size_t) { return MergeProbe{}; });
+  MergeProbe epoch;
+  ASSERT_TRUE(sharded.DrainInto(epoch).ok());
+  EXPECT_EQ(epoch.merges, 0);
 
-  // Keep shard 2 hot across the next window: it must not fold into the
-  // base, while the quiescent shards 0/1/3 do.
-  sharded.WithShardMutable(2, [](ConciseSample& s) {
-    s.Insert(12345);
-    return 0;
-  });
-  ASSERT_TRUE(sharded.SnapshotDelta(state, &stats).ok());
+  const std::vector<Value> batch(10, 7);
+  sharded.InsertBatchToShard(2, batch);
+  ASSERT_TRUE(sharded.DrainInto(epoch).ok());
+  EXPECT_EQ(epoch.merges, 1);
+  EXPECT_EQ(epoch.observed, 10);
 
-  // Dirty it again: this call serves 0/1/3 from the base and re-merges
-  // only shard 2.
-  sharded.WithShardMutable(2, [](ConciseSample& s) {
-    s.Insert(54321);
-    return 0;
-  });
-  auto delta = sharded.SnapshotDelta(state, &stats);
-  ASSERT_TRUE(delta.ok());
-  EXPECT_FALSE(stats.full_rebuild);
-  EXPECT_EQ(stats.merged_shards, 1u);
-  EXPECT_EQ(stats.base_shards, 3u);
-  EXPECT_DOUBLE_EQ(stats.delta_fraction, 0.25);
-  EXPECT_EQ(delta->ObservedInserts(), 8002);
-  EXPECT_TRUE(delta->Validate().ok());
+  // Shard 2 was emptied by the drain, so it is skipped too.
+  ASSERT_TRUE(sharded.DrainInto(epoch).ok());
+  EXPECT_EQ(epoch.merges, 1);
 }
 
-TEST(ShardedSynopsisTest, SnapshotDeltaDiscardsBaseWhenInBaseShardMutates) {
-  auto sharded = MakeConciseShards(4, 4096, 97);
-  for (Value v : ZipfValues(8000, 300, 1.0, 98)) sharded.Insert(v);
-
-  ShardedSynopsis<ConciseSample>::DeltaState state;
-  ShardedDeltaStats stats;
-  ASSERT_TRUE(sharded.SnapshotDelta(state, &stats).ok());
-  ASSERT_TRUE(sharded.SnapshotDelta(state, &stats).ok());  // folds all four
-
-  // A shard the base already covers mutates: a merge is not reversible, so
-  // the whole base is poisoned and the call degrades to a full re-merge.
-  sharded.WithShardMutable(1, [](ConciseSample& s) {
-    s.Insert(777);
-    return 0;
-  });
-  auto rebuilt = sharded.SnapshotDelta(state, &stats);
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_TRUE(stats.full_rebuild);
-  EXPECT_EQ(stats.merged_shards, 4u);
-  EXPECT_EQ(stats.base_shards, 0u);
-  EXPECT_EQ(rebuilt->ObservedInserts(), 8001);
-}
-
-TEST(ShardedSynopsisTest, SnapshotDeltaMatchesFullSnapshotContents) {
-  // Below the footprint bound a concise sample is an exact multiset, so
-  // the base+delta merge must reproduce Snapshot()'s contents bit-for-bit
-  // across rounds of churn (round-robin InsertBatch dirties one shard per
-  // round, exercising the base path on the others).
+TEST(ShardedSynopsisTest, DrainedEpochHoldsEveryPointBelowTheBound) {
+  // Below the footprint bound a concise sample is an exact multiset, so an
+  // epoch drained round after round must hold the exact counts of the
+  // stream so far (round-robin InsertBatch fills one shard per round).
   auto sharded = MakeConciseShards(8, 8192, 100);
-  ShardedSynopsis<ConciseSample>::DeltaState state;
-  const auto sorted_entries = [](const ConciseSample& s) {
-    std::vector<ValueCount> entries = s.Entries();
-    std::sort(entries.begin(), entries.end(),
-              [](const ValueCount& a, const ValueCount& b) {
-                return a.value < b.value;
-              });
-    return entries;
-  };
+  ConciseSample epoch = MakeEpoch(8, 8192, 100);
+  std::map<Value, Count> truth;
   for (int round = 0; round < 5; ++round) {
     const std::vector<Value> data =
         ZipfValues(2000, 400, 1.0, 101 + static_cast<std::uint64_t>(round));
+    for (Value v : data) ++truth[v];
     sharded.InsertBatch(data);
-    auto delta = sharded.SnapshotDelta(state);
-    auto full = sharded.Snapshot();
-    ASSERT_TRUE(delta.ok());
-    ASSERT_TRUE(full.ok());
-    EXPECT_EQ(delta->ObservedInserts(), full->ObservedInserts());
-    EXPECT_EQ(sorted_entries(*delta), sorted_entries(*full))
-        << "round " << round;
+    ASSERT_TRUE(sharded.DrainInto(epoch).ok());
+    std::vector<ValueCount> expected;
+    for (const auto& [value, count] : truth) {
+      expected.push_back(ValueCount{value, count});
+    }
+    EXPECT_EQ(epoch.ObservedInserts(), 2000 * (round + 1));
+    EXPECT_EQ(SortedEntries(epoch), expected) << "round " << round;
   }
 }
 

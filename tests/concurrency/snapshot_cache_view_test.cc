@@ -1,17 +1,19 @@
 // Epoch consistency of the {snapshot, view} pair under concurrency:
 // readers pin EpochState shared_ptrs from a SnapshotCache while writers
-// keep feeding the underlying ShardedSynopsis and reporting ops, so
-// refreshes race reads the whole time.  The invariant: whatever epoch a
-// reader lands on, the frozen view agrees with *its* snapshot (scalars
-// and answers), and a pinned epoch never changes underneath the reader —
-// even long after newer epochs were published.  Assertions run via atomic
-// violation counters (gtest EXPECTs are not thread-safe); the suite name
-// keeps "SnapshotCache" so the ThreadSanitizer CI job picks it up, which
-// is where the race-freedom teeth are.
+// keep feeding the underlying ShardedSynopsis (drained into each new
+// epoch) and reporting ops, so refreshes race reads the whole time.  The
+// invariant: whatever epoch a reader lands on, the frozen view agrees with
+// *its* snapshot (scalars and answers), and a pinned epoch never changes
+// underneath the reader — even long after newer epochs were published.
+// Assertions run via atomic violation counters (gtest EXPECTs are not
+// thread-safe); the suite name keeps "SnapshotCache" so the
+// ThreadSanitizer CI job picks it up, which is where the race-freedom
+// teeth are.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <thread>
@@ -44,14 +46,18 @@ ConciseSample MakeShard(std::size_t i) {
 
 using ConciseEpoch = EpochState<ConciseSample>;
 
-/// Cache whose refresher merges the sharded synopsis and freezes a view
-/// from the merged snapshot — the same shape TypedSynopsisHandle builds.
+/// Cache whose refresher drains the sharded synopsis into a running epoch
+/// and freezes a view from a copy of it — the same shape
+/// TypedSynopsisHandle builds.  The cache's refresh mutex serializes the
+/// refresher, so the running epoch needs no lock of its own.
 SnapshotCache<ConciseEpoch> MakeCache(ShardedSynopsis<ConciseSample>& sharded,
                                       std::int64_t max_stale_ops) {
+  auto epoch =
+      std::make_shared<ConciseSample>(MakeShard(sharded.num_shards()));
   return SnapshotCache<ConciseEpoch>(
-      [&sharded]() -> Result<ConciseEpoch> {
-        AQUA_ASSIGN_OR_RETURN(ConciseSample merged, sharded.Snapshot());
-        ConciseEpoch state{std::move(merged), std::nullopt, 0};
+      [&sharded, epoch]() -> Result<ConciseEpoch> {
+        AQUA_RETURN_NOT_OK(sharded.DrainInto(*epoch));
+        ConciseEpoch state{*epoch, std::nullopt, 0};
         state.view.emplace(BuildConciseViewSpec(state.snapshot));
         return state;
       },
@@ -78,8 +84,7 @@ TEST(SnapshotCacheViewStress, PinnedEpochStaysConsistentUnderIngest) {
   constexpr std::size_t kBatch = 256;
 
   ShardedSynopsis<ConciseSample> sharded(
-      kShards, [](std::size_t i) { return MakeShard(i); },
-      ShardRouting::kRoundRobin);
+      kShards, [](std::size_t i) { return MakeShard(i); });
   SnapshotCache<ConciseEpoch> cache = MakeCache(sharded, /*max_stale_ops=*/512);
 
   std::atomic<bool> stop{false};
@@ -154,8 +159,7 @@ TEST(SnapshotCacheViewStress, ViewAnswersMatchDirectPathWithinEpoch) {
   constexpr std::size_t kBatch = 256;
 
   ShardedSynopsis<ConciseSample> sharded(
-      kShards, [](std::size_t i) { return MakeShard(i); },
-      ShardRouting::kRoundRobin);
+      kShards, [](std::size_t i) { return MakeShard(i); });
   SnapshotCache<ConciseEpoch> cache = MakeCache(sharded, /*max_stale_ops=*/256);
 
   std::atomic<bool> stop{false};

@@ -1,10 +1,9 @@
 // The vector kernels may only touch deterministic work, and must be
 // lane-for-lane identical to the scalar reference: hashes equal to
-// IntegerHash, routes equal to hash % shards, partitions stable.  These
-// tests sweep every remainder class around the vector widths (1, width-1,
-// width, width+1 for widths 2, 4, 8, 16) so no lane of any compiled-in
-// kernel — AVX2, SSE2, NEON, or the forced-scalar fallback — goes
-// unchecked.
+// IntegerHash.  These tests sweep every remainder class around the vector
+// widths (1, width-1, width, width+1 for widths 2, 4, 8, 16) so no lane of
+// any compiled-in kernel — AVX2, SSE2, NEON, or the forced-scalar
+// fallback — goes unchecked.
 
 #include "core/batch_kernels.h"
 
@@ -78,59 +77,6 @@ TEST(BatchKernelsTest, HashBatchExtremeValues) {
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(hashes[i], reference(values[i])) << values[i];
   }
-}
-
-TEST(BatchKernelsTest, RouteFromHashesMatchesModulo) {
-  Random rng(0xF00D);
-  for (std::size_t shards : {1u, 2u, 3u, 7u, 8u, 64u}) {
-    std::vector<std::uint64_t> hashes(257);
-    for (auto& h : hashes) h = rng.UniformU64(~std::uint64_t{0});
-    std::vector<std::uint32_t> routes(hashes.size());
-    RouteFromHashes(hashes, shards, routes.data());
-    for (std::size_t i = 0; i < hashes.size(); ++i) {
-      EXPECT_EQ(routes[i], hashes[i] % shards);
-    }
-  }
-}
-
-TEST(BatchKernelsTest, PartitionByShardIsStableAndComplete) {
-  const std::vector<Value> values = ZipfValues(10000, 700, 1.0, 99);
-  IntegerHash hash;
-  for (std::size_t shards : {1u, 3u, 8u}) {
-    ShardPartitionScratch scratch;
-    PartitionByShard(values, shards, scratch);
-    ASSERT_EQ(scratch.offsets.size(), shards + 1);
-    EXPECT_EQ(scratch.offsets.front(), 0u);
-    EXPECT_EQ(scratch.offsets.back(), values.size());
-    // Per-shard ranges must contain exactly the values routed there, in
-    // stream order (stability is what keeps per-shard draw streams equal
-    // to element-at-a-time routing).
-    for (std::size_t s = 0; s < shards; ++s) {
-      std::vector<Value> expected;
-      for (Value v : values) {
-        if (hash(v) % shards == s) expected.push_back(v);
-      }
-      const std::vector<Value> got(
-          scratch.values.begin() + scratch.offsets[s],
-          scratch.values.begin() + scratch.offsets[s + 1]);
-      EXPECT_EQ(got, expected) << "shard " << s << "/" << shards;
-      for (std::size_t i = scratch.offsets[s]; i < scratch.offsets[s + 1];
-           ++i) {
-        EXPECT_EQ(scratch.grouped_hashes[i], hash(scratch.values[i]));
-      }
-    }
-  }
-}
-
-TEST(BatchKernelsTest, PartitionScratchDoesNotShrinkAcrossCalls) {
-  ShardPartitionScratch scratch;
-  const std::vector<Value> big = UniformValues(5000, 1000, 3);
-  PartitionByShard(big, 8, scratch);
-  const std::size_t cap = scratch.values.capacity();
-  const std::vector<Value> small = UniformValues(10, 1000, 4);
-  PartitionByShard(small, 8, scratch);
-  EXPECT_EQ(scratch.values.capacity(), cap);
-  EXPECT_EQ(scratch.offsets.back(), small.size());
 }
 
 // Prehashed sample ingestion must be bit-identical to the self-hashing

@@ -20,36 +20,53 @@ ConciseSampleOptions Opts(Words bound, std::uint64_t seed,
   return o;
 }
 
-TEST(ConciseSampleTest, ReseedDecorrelatesFutureDraws) {
-  // A copy shares the original's random stream state; fed the same suffix
-  // it stays byte-identical.  After Reseed the copy's selections must
-  // diverge (contents are untouched at the moment of reseeding).
-  ConciseSample original(Opts(100, 5));
-  const std::vector<Value> prefix = ZipfValues(50000, 2000, 1.0, 6);
-  original.InsertBatch(prefix);
-  ASSERT_GT(original.Threshold(), 1.0);  // selection is actually random
+std::vector<ValueCount> SortedEntries(const ConciseSample& s) {
+  std::vector<ValueCount> entries = s.Entries();
+  std::sort(entries.begin(), entries.end(),
+            [](const ValueCount& a, const ValueCount& b) {
+              return a.value < b.value;
+            });
+  return entries;
+}
 
+TEST(ConciseSampleTest, DrainKeepsThresholdAndStream) {
+  // Drain() hands over the contents and leaves an empty sample at the same
+  // threshold, on the same random stream with the same pending skip: fed
+  // the same suffix, it selects exactly the points an undrained twin does.
+  const std::vector<ValueCount> held = {{1, 3}, {2, 1}, {3, 2}};
+  ConciseSample original =
+      ConciseSample::Restore(Opts(1000, 5), 4.0, 40, held).ValueOrDie();
+  original.InsertBatch(ZipfValues(400, 50, 1.0, 6));
   ConciseSample twin = original;
-  ConciseSample reseeded = original;
-  reseeded.Reseed(999);
-  EXPECT_EQ(reseeded.Entries().size(), original.Entries().size());
-  EXPECT_DOUBLE_EQ(reseeded.Threshold(), original.Threshold());
 
-  const std::vector<Value> suffix = ZipfValues(50000, 2000, 1.0, 7);
+  const ConciseSample drained = original.Drain();
+  EXPECT_EQ(SortedEntries(drained), SortedEntries(twin));
+  EXPECT_EQ(drained.ObservedInserts(), twin.ObservedInserts());
+  EXPECT_DOUBLE_EQ(drained.Threshold(), 4.0);
+  EXPECT_EQ(original.SampleSize(), 0);
+  EXPECT_EQ(original.Footprint(), 0);
+  EXPECT_EQ(original.ObservedInserts(), 0);
+  EXPECT_DOUBLE_EQ(original.Threshold(), 4.0);
+  EXPECT_TRUE(original.Validate().ok());
+
+  // Distinct suffix values and far fewer selections than the bound:
+  // neither sample raises its threshold, so their selections coincide.
+  constexpr Value kSuffixBase = 1000000;
+  std::vector<Value> suffix(2000);
+  for (std::size_t i = 0; i < suffix.size(); ++i) {
+    suffix[i] = kSuffixBase + static_cast<Value>(i);
+  }
   original.InsertBatch(suffix);
   twin.InsertBatch(suffix);
-  reseeded.InsertBatch(suffix);
-  auto sorted_entries = [](const ConciseSample& s) {
-    std::vector<ValueCount> entries = s.Entries();
-    std::sort(entries.begin(), entries.end(),
-              [](const ValueCount& a, const ValueCount& b) {
-                return a.value < b.value;
-              });
-    return entries;
-  };
-  EXPECT_EQ(sorted_entries(twin), sorted_entries(original));
-  EXPECT_NE(sorted_entries(reseeded), sorted_entries(original));
-  EXPECT_TRUE(reseeded.Validate().ok());
+  ASSERT_DOUBLE_EQ(twin.Threshold(), 4.0);
+  std::vector<ValueCount> twin_suffix;
+  for (const ValueCount& e : SortedEntries(twin)) {
+    if (e.value >= kSuffixBase) twin_suffix.push_back(e);
+  }
+  EXPECT_FALSE(twin_suffix.empty());
+  EXPECT_EQ(SortedEntries(original), twin_suffix);
+  EXPECT_EQ(original.ObservedInserts(), 2000);
+  EXPECT_TRUE(original.Validate().ok());
 }
 
 TEST(ConciseSampleTest, EmptySample) {

@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "plan/planner.h"
@@ -24,7 +27,7 @@ namespace aqua {
 namespace {
 
 /// A custom synopsis private to this test: exact distinct count via a set.
-/// Deliberately minimal — no MergeFrom/Reseed/InsertBatch/Delete — so the
+/// Deliberately minimal — no MergeFrom/Drain/InsertBatch/Delete — so the
 /// registry must fall back to per-element inserts and single-instance
 /// (SharedSynopsis) execution in concurrent mode.
 struct ExactDistinct {
@@ -52,6 +55,55 @@ SynopsisDescriptor<ExactDistinct> ExactDistinctDescriptor(
     e.ci_high = e.value;
     e.confidence = 1.0;
     e.sample_points = static_cast<std::int64_t>(s.values.size());
+    return e;
+  };
+  return d;
+}
+
+/// A custom synopsis that applies deletes exactly: per-value counts.  It is
+/// mergeable and drainable like the built-in samples, yet a drained shard
+/// could not take a delete for a value the epoch already absorbed, so the
+/// registry must keep it single-instance.
+struct ExactCounts {
+  std::map<Value, Count> counts;
+  std::int64_t observed = 0;
+  void Insert(Value v) {
+    ++counts[v];
+    ++observed;
+  }
+  Status Delete(Value v) {
+    const auto it = counts.find(v);
+    if (it == counts.end()) return Status::NotFound("absent value");
+    if (--it->second == 0) counts.erase(it);
+    return Status::OK();
+  }
+  Status MergeFrom(const ExactCounts& other) {
+    for (const auto& [v, c] : other.counts) counts[v] += c;
+    observed += other.observed;
+    return Status::OK();
+  }
+  ExactCounts Drain() { return std::exchange(*this, ExactCounts{}); }
+  std::int64_t ObservedInserts() const { return observed; }
+  Words Footprint() const { return 2 * static_cast<Words>(counts.size()); }
+};
+
+SynopsisDescriptor<ExactCounts> ExactCountsDescriptor() {
+  SynopsisDescriptor<ExactCounts> d;
+  d.name = "exact-counts";
+  d.on_delete = DeleteBehavior::kApplies;
+  d.Declare(QueryKind::kFrequency, kAccuracyExact,
+            [](const ExactCounts&, const QueryContext&, double) {
+              return 0.0;
+            });
+  d.factory = [](std::uint64_t) { return ExactCounts{}; };
+  d.answers.frequency = [](const ExactCounts& s, Value v,
+                           const QueryContext&) {
+    const auto it = s.counts.find(v);
+    Estimate e;
+    e.value = it == s.counts.end() ? 0.0 : static_cast<double>(it->second);
+    e.ci_low = e.value;
+    e.ci_high = e.value;
+    e.confidence = 1.0;
     return e;
   };
   return d;
@@ -100,9 +152,12 @@ TEST(SynopsisRegistryTest, CustomSynopsisServedByBothEngines) {
 TEST(SynopsisRegistryTest, CapabilitiesGateShardingAndCaching) {
   ServingEngineOptions options;
   options.shards = 4;
+  options.cache_max_stale_ops = 1;  // every ingest op makes the epoch stale
   ServingEngine serving(options);
   ASSERT_TRUE(serving.RegisterSynopsis(ExactDistinctDescriptor()).ok());
+  ASSERT_TRUE(serving.RegisterSynopsis(ExactCountsDescriptor()).ok());
   serving.InsertBatch(UniformValues(1000, 100, 7));
+  serving.InsertBatch(std::vector<Value>(5, 4242));
 
   const RegistryStats stats = serving.registry().GetStats();
   bool checked_sharded = false;
@@ -112,17 +167,30 @@ TEST(SynopsisRegistryTest, CapabilitiesGateShardingAndCaching) {
     EXPECT_TRUE(s.cached) << s.name;
     if (s.name == kConciseSynopsisName ||
         s.name == kTraditionalSynopsisName) {
-      EXPECT_TRUE(s.sharded) << s.name;  // mergeable + reseedable
+      EXPECT_TRUE(s.sharded) << s.name;  // mergeable, drainable, insert-only
       checked_sharded = true;
     }
     if (s.name == kCountingSynopsisName || s.name == kDistinctSketchName ||
-        s.name == "exact-distinct") {
-      EXPECT_FALSE(s.sharded) << s.name;  // unmergeable
+        s.name == "exact-distinct" || s.name == "exact-counts") {
+      // Unmergeable, or (exact-counts) mergeable but applying deletes.
+      EXPECT_FALSE(s.sharded) << s.name;
       checked_single = true;
     }
   }
   EXPECT_TRUE(checked_sharded);
   EXPECT_TRUE(checked_single);
+
+  // The single-instance delete-applying synopsis answers exactly, and a
+  // delete that arrives after an epoch was published shows in the next.
+  const PlannedQuery frequency = {.kind = QueryKind::kFrequency,
+                                  .value = 4242};
+  const PlannedResponse before = Ask(serving.registry(), frequency);
+  EXPECT_EQ(before.method, "exact-counts");
+  EXPECT_DOUBLE_EQ(before.estimate.value, 5.0);
+  ASSERT_TRUE(serving.Delete(4242).ok());
+  const PlannedResponse after = Ask(serving.registry(), frequency);
+  EXPECT_EQ(after.method, "exact-counts");
+  EXPECT_DOUBLE_EQ(after.estimate.value, 4.0);
 
   // The unsynchronized engine uses no caches at all.
   ApproximateAnswerEngine engine(EngineOptions{});
@@ -276,6 +344,73 @@ TEST(SynopsisRegistryTest, PersistRoundTripsThroughHandles) {
   EXPECT_FALSE(sketch->Capabilities().persistable);
   EXPECT_EQ(sketch->EncodeState().status().code(),
             StatusCode::kUnimplemented);
+}
+
+/// Every field of an answer, at full precision: equal strings mean the
+/// answers would render to the same bytes.
+std::string AnswerBytes(const PlannedResponse& r) {
+  std::ostringstream out;
+  out.precision(17);
+  out << r.method << ' ' << r.estimate.value << ' ' << r.estimate.ci_low
+      << ' ' << r.estimate.ci_high << ' ' << r.estimate.confidence << ' '
+      << r.estimate.sample_points;
+  for (const HotListItem& item : r.hotlist) {
+    out << " | " << item.value << ' ' << item.estimated_count << ' '
+        << item.synopsis_count;
+  }
+  return out.str();
+}
+
+TEST(SynopsisRegistryTest, EncodedShardedStateRestoresTheServedEpoch) {
+  // A sharded concurrent registry in the exact regime (τ = 1: few distinct
+  // values under the bound).  Part of the stream sits in the shards, not
+  // yet in any epoch, when the state is encoded: the encode must refresh
+  // first, so the bytes are exactly the epoch queries read.
+  ServingEngineOptions options;
+  options.shards = 4;
+  options.seed = 21;
+  ServingEngine source(options);
+  const std::vector<Value> stream = ZipfValues(6000, 300, 1.1, 22);
+  const std::span<const Value> all(stream);
+  source.InsertBatch(all.first(3000));
+  const PlannedQuery hot = {.kind = QueryKind::kHotList, .k = 20};
+  (void)Ask(source.registry(), hot);  // publishes an epoch
+  source.InsertBatch(all.subspan(3000));
+
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> blobs;
+  const SynopsisRegistry& registry = source.registry();
+  for (std::size_t i = 0; i < registry.size(); ++i) {
+    const SynopsisHandle* handle = registry.handle_at(i);
+    if (!handle->Capabilities().persistable) continue;
+    const auto first = handle->EncodeState();
+    const auto second = handle->EncodeState();
+    ASSERT_TRUE(first.ok() && second.ok()) << handle->Name();
+    EXPECT_EQ(first.ValueOrDie(), second.ValueOrDie()) << handle->Name();
+    blobs.emplace_back(std::string(handle->Name()), first.ValueOrDie());
+  }
+  const ConciseSample concise =
+      registry.StateCopy<ConciseSample>(kConciseSynopsisName).ValueOrDie();
+  ASSERT_DOUBLE_EQ(concise.Threshold(), 1.0);
+  EXPECT_EQ(concise.ObservedInserts(), 6000);
+
+  ServingEngine restored(options);
+  for (const auto& [name, bytes] : blobs) {
+    SynopsisHandle* handle = restored.mutable_registry()->mutable_handle(name);
+    ASSERT_NE(handle, nullptr) << name;
+    ASSERT_TRUE(handle->RestoreState(bytes).ok()) << name;
+  }
+  restored.mutable_registry()->NoteExternalInserts(
+      source.registry().observed_inserts());
+
+  EXPECT_EQ(AnswerBytes(Ask(restored.registry(), hot)),
+            AnswerBytes(Ask(source.registry(), hot)));
+  for (Value v : {1, 2, 3, 17, 150, 299, 100000}) {
+    const PlannedQuery frequency = {.kind = QueryKind::kFrequency,
+                                    .value = v};
+    EXPECT_EQ(AnswerBytes(Ask(restored.registry(), frequency)),
+              AnswerBytes(Ask(source.registry(), frequency)))
+        << "value " << v;
+  }
 }
 
 TEST(SynopsisRegistryTest, DeleteBehaviorsRouteIndependently) {

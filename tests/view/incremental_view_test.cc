@@ -259,10 +259,10 @@ TEST(IncrementalView, LargeDeltaFallsBackToFullSortAndStaysIdentical) {
   ExpectAnswersBitIdentical(full, patched, 300);
 }
 
-TEST(IncrementalView, StaleMirrorIsDetectedAndReseeded) {
+TEST(IncrementalView, StaleMirrorIsDetectedAndRebuilt) {
   // If `previous` is not the view this scratch last produced (build_id
   // mismatch), the mirror is silently wrong for it; the constructor must
-  // reseed from previous.by_value_ rather than trust the mirror.
+  // rebuild it from previous.by_value_ rather than trust it.
   std::vector<Count> counts(200, 1);
   FrozenView::PatchScratch scratch;
   ViewPatchStats stats;
