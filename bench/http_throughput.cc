@@ -9,7 +9,7 @@
 //   cache_hit_micro   ResponseCache BuildKey+Lookup alone (no sockets),
 //                     with an allocation counter proving the warmed hit
 //                     path is allocation-free (allocs_per_hit metric),
-//   uncached_r1_*     1 reactor, cacheable route, epoch source absent —
+//   uncached_r1_*     1 reactor, the route without a scoped epoch —
 //                     every request renders,
 //   cached_r1_*       1 reactor, same route, settled epoch — steady-state
 //                     hits replaying stored wire bytes,
@@ -138,7 +138,11 @@ void ServerScenario(const std::string& name, IoBackendKind backend,
   options.io_backend = backend;
   HttpServer server(options);
   RouteOptions cacheable;
-  cacheable.cacheable = true;
+  if (settled_epoch) {
+    cacheable.scoped_epoch = [](const HttpRequest&) {
+      return std::optional<RouteOptions::ScopedEpoch>({"answer", 1});
+    };
+  }
   server.Route("GET", "/answer",
                [](const HttpRequest& request) {
                  // A render comparable to a real synopsis answer: walk the
@@ -159,10 +163,6 @@ void ServerScenario(const std::string& name, IoBackendKind backend,
                  return response;
                },
                cacheable);
-  if (settled_epoch) {
-    server.SetEpochSource(
-        []() -> std::optional<std::uint64_t> { return 1; });
-  }
   if (!server.Start().ok()) {
     std::fprintf(stderr, "%s: server failed to start\n", name.c_str());
     return;

@@ -166,7 +166,6 @@ void ServeRow(int reactors, int shards, const std::vector<Value>& preload,
   options.pin_reactors = pin;
   HttpServer server(options);
   RegisterServingRoutes(server, engine);
-  InstallEpochSource(server, engine, nullptr);
   if (!server.Start().ok()) {
     std::fprintf(stderr, "serve_r%d_s%d: server failed to start\n", reactors,
                  shards);

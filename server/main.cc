@@ -39,6 +39,7 @@
 #include <signal.h>
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -99,9 +100,12 @@ bool ParseInt64(std::string_view s, std::int64_t* out) {
   return ec == std::errc() && ptr == s.data() + s.size() && !s.empty();
 }
 
+/// Rejects nan and inf spellings as well as garbage: no flag takes a
+/// non-finite value.
 bool ParseDouble(std::string_view s, double* out) {
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc() && ptr == s.data() + s.size() && !s.empty();
+  return ec == std::errc() && ptr == s.data() + s.size() && !s.empty() &&
+         std::isfinite(*out);
 }
 
 void Usage(const char* argv0) {
@@ -271,7 +275,8 @@ bool ParseFlags(int argc, char** argv, ServeFlags* flags) {
       if (parts.size() != 4 || !ParseInt64(parts[0], &flags->preload_n) ||
           !ParseInt64(parts[1], &flags->preload_domain) ||
           !ParseDouble(parts[2], &flags->preload_alpha) ||
-          !ParseInt64(parts[3], &seed)) {
+          !ParseInt64(parts[3], &seed) || flags->preload_n < 0 ||
+          flags->preload_domain < 1 || flags->preload_alpha < 0.0) {
         return false;
       }
       flags->preload_seed = static_cast<std::uint64_t>(seed);
@@ -508,7 +513,6 @@ int ServeMain(int argc, char** argv) {
     cluster_routes.replicator = replicator.get();
     RegisterClusterRoutes(server, engine, cluster_routes);
   }
-  InstallEpochSource(server, engine, catalog.get(), flags.refresh_mode);
   const Status status = server.Start();
   if (!status.ok()) {
     std::fprintf(stderr, "failed to start: %s\n",

@@ -87,17 +87,6 @@ void ConciseSample::Insert(Value value) {
 }
 
 void ConciseSample::InsertBatch(std::span<const Value> values) {
-  InsertBatchCore(values, nullptr);
-}
-
-void ConciseSample::InsertBatchPrehashed(
-    std::span<const Value> values, std::span<const std::uint64_t> hashes) {
-  AQUA_DCHECK_EQ(values.size(), hashes.size());
-  InsertBatchCore(values, hashes.data());
-}
-
-void ConciseSample::InsertBatchCore(std::span<const Value> values,
-                                    const std::uint64_t* hashes) {
   if (!use_skip_counting_) {
     // The ablation baseline flips one coin per element anyway; nothing to
     // amortize beyond the call overhead.
@@ -112,10 +101,9 @@ void ConciseSample::InsertBatchCore(std::span<const Value> values,
   // elements ahead.  Draw-for-draw identical to per-element Insert(),
   // which also takes no draws at τ == 1.
   while (i < n && threshold_ == 1.0) {
-    std::uint64_t chunk_hashes[kBatchChunk];
+    std::uint64_t h[kBatchChunk];
     const std::size_t m = std::min(n - i, kBatchChunk);
-    const std::uint64_t* h = hashes != nullptr ? hashes + i : chunk_hashes;
-    if (hashes == nullptr) HashBatch(values.subspan(i, m), chunk_hashes);
+    HashBatch(values.subspan(i, m), h);
     std::size_t j = 0;
     while (j < m && threshold_ == 1.0) {
       if (j + 8 < m) entries_.PrefetchHash(h[j + 8]);
@@ -142,11 +130,7 @@ void ConciseSample::InsertBatchCore(std::span<const Value> values,
     const bool selected = selector_.ShouldSelect(random_);
     AQUA_DCHECK(selected);
     (void)selected;
-    if (hashes != nullptr) {
-      SelectPrehashed(values[i], hashes[i]);
-    } else {
-      Select(values[i]);
-    }
+    Select(values[i]);
     ++i;
     // Same per-selection overflow handling as Insert(): footprint checks
     // are already amortized to one per *selected* element.

@@ -88,12 +88,6 @@ class ConciseSample final : public Synopsis {
   /// the random stream, entries, threshold, and all counters end identical.
   void InsertBatch(std::span<const Value> values);
 
-  /// InsertBatch with caller-supplied hashes (hashes[i] must equal
-  /// IntegerHash{}(values[i]), e.g. from a caller that already hashed the
-  /// batch).  Identical behavior to InsertBatch.
-  void InsertBatchPrehashed(std::span<const Value> values,
-                            std::span<const std::uint64_t> hashes);
-
   /// Merges `other` — a concise sample of a *disjoint* substream — into
   /// this sample (Theorem 2 threshold alignment): both sides are aligned to
   /// τ' = max(τ_this, τ_other) by retaining each sample point independently
@@ -161,8 +155,6 @@ class ConciseSample final : public Synopsis {
  private:
   void Select(Value value);
   void SelectPrehashed(Value value, std::uint64_t hash);
-  void InsertBatchCore(std::span<const Value> values,
-                       const std::uint64_t* hashes);
   void RaiseThreshold();
   /// Theorem-2 subsampling scan: retains each sample point independently
   /// with probability τ/new_threshold, then installs the new threshold and

@@ -118,15 +118,6 @@ void CountingSample::InsertBatch(std::span<const Value> values) {
   }
 }
 
-void CountingSample::InsertBatchPrehashed(
-    std::span<const Value> values, std::span<const std::uint64_t> hashes) {
-  AQUA_DCHECK_EQ(values.size(), hashes.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i + 8 < values.size()) entries_.PrefetchHash(hashes[i + 8]);
-    InsertPrehashed(values[i], hashes[i]);
-  }
-}
-
 void CountingSample::Admit(Value value, std::uint64_t hash) {
   entries_.TryInsertPrehashed(value, hash, 1);
   footprint_ += 1;

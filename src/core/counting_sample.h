@@ -80,12 +80,6 @@ class CountingSample final : public Synopsis {
   /// Insert().
   void InsertBatch(std::span<const Value> values);
 
-  /// InsertBatch with caller-supplied hashes (hashes[i] must equal
-  /// IntegerHash{}(values[i]), e.g. from a caller that already hashed the
-  /// batch).
-  void InsertBatchPrehashed(std::span<const Value> values,
-                            std::span<const std::uint64_t> hashes);
-
   /// Observes one deleted value.  O(1) expected; never fails.
   Status Delete(Value value) override;
 

@@ -15,10 +15,9 @@ namespace aqua {
 
 /// A pinned, read-only answer computation surface over one synopsis.
 ///
-/// SynopsisHandle::PinInto() constructs one of these over whatever state
-/// the handle serves from — the live synopsis in unsynchronized mode, the
-/// epoch-cached snapshot in concurrent mode — and keeps that state alive
-/// for the duration of the computation.  The planner (plan/planner.h) is
+/// SynopsisHandle::PinInto() constructs one of these over the handle's
+/// epoch-cached snapshot and keeps that epoch alive for the duration of
+/// the computation.  The planner (plan/planner.h) is
 /// the only caller: it pins the handle it chose for a kind the handle
 /// declared, so every answer method here is always a real answer.
 class AnswerSource {

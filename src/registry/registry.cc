@@ -194,7 +194,6 @@ void SynopsisRegistry::GetStatsInto(RegistryStats* out) const {
     const std::string_view name = handle->Name();
     s.name.assign(name.data(), name.size());
     s.valid = handle->valid();
-    s.cached = handle->Cached();
     s.sharded = handle->Capabilities().sharded;
     s.footprint = handle->Footprint();
     s.epoch = handle->CacheEpoch();

@@ -23,7 +23,6 @@ namespace aqua {
 struct SynopsisHandleStats {
   std::string name;
   bool valid = true;
-  bool cached = false;
   bool sharded = false;
   Words footprint = 0;
   std::uint64_t epoch = 0;
@@ -64,34 +63,37 @@ struct RegistryStats {
 /// vocabulary).
 std::string_view QueryKindName(QueryKind kind);
 
-/// The registry-backed core both engines drive: owns any number of
-/// type-erased synopsis handles, routes the load stream to all of them, and
-/// keeps each query kind's candidate handles in §6's accuracy order
-/// (per-kind cost/error models declared at registration — never
-/// hand-maintained per engine again).  Queries go through the planner
-/// (plan/planner.h): unbounded ones take the first valid candidate, bounded
-/// ones score the candidates against each handle's predicted error and
-/// measured latency.
+/// The registry-backed core every driver uses (ApproximateAnswerEngine,
+/// ServingEngine, each SynopsisCatalog attribute, the cluster's delta
+/// rounds): owns any number of type-erased synopsis handles, routes the
+/// load stream to all of them, and keeps each query kind's candidate
+/// handles in §6's accuracy order (per-kind cost/error models declared at
+/// registration — never hand-maintained per engine again).  Queries go
+/// through the planner (plan/planner.h): unbounded ones take the first
+/// valid candidate, bounded ones score the candidates against each
+/// handle's predicted error and measured latency.
 ///
-/// Thread-safety follows the execution mode: kConcurrent registries accept
-/// ingest and queries from any thread (handles shard or lock internally;
-/// counters are atomic); kUnsynchronized registries are single-threaded
-/// like ApproximateAnswerEngine.  Register() itself is never thread-safe —
-/// register every synopsis before ingest/queries begin, which is what both
-/// engine constructors do.
+/// Every registry is concurrent: ingest and queries may come from any
+/// thread (handles shard or lock internally; counters are atomic), and
+/// queries read published epochs.  With the default staleness bounds every
+/// op is published at the next query's pin, so unbounded answers reflect
+/// every op; predictions read the published epoch only, so bounded planning
+/// follows an explicit SettleCaches().  Register() itself is never
+/// thread-safe — register every synopsis before ingest/queries begin,
+/// which is what every driver's constructor does.
 class SynopsisRegistry {
  public:
   struct Options {
-    ExecutionMode mode = ExecutionMode::kUnsynchronized;
-    /// Ingest shards per shardable synopsis (concurrent mode).
+    /// Ingest shards per shardable synopsis.
     std::size_t shards = 1;
     /// Base of the per-handle seed chain (deterministic per registration
     /// order).
     std::uint64_t seed = 0x19980531ULL;
-    /// Snapshot-cache staleness bounds (concurrent mode).
-    std::int64_t cache_max_stale_ops = 8192;
+    /// Snapshot-cache staleness bounds (see SnapshotCache).  The defaults
+    /// make any op stale the epoch and never go stale by time alone.
+    std::int64_t cache_max_stale_ops = 1;
     std::chrono::nanoseconds cache_max_stale_interval =
-        std::chrono::milliseconds(100);
+        std::chrono::nanoseconds::zero();
     /// Hand refresh ownership to an external epoch pump (--refresh-mode
     /// pump): query-thread Get() never re-merges a warmed cache; the pump
     /// calls SettleCaches() on its own thread instead.
@@ -108,7 +110,7 @@ class SynopsisRegistry {
   /// Registers a synopsis type under its descriptor.  Validates that the
   /// declared capabilities are coherent (kApplies needs a Delete member;
   /// every declared rank needs an answer function and vice versa) and
-  /// instantiates the handle for this registry's execution mode.
+  /// instantiates the handle with this registry's shards and cache bounds.
   template <RegistrableSynopsis S>
   Status Register(SynopsisDescriptor<S> descriptor) {
     if (descriptor.name.empty()) {
@@ -142,7 +144,6 @@ class SynopsisRegistry {
          descriptor.answers.distinct != nullptr,
          descriptor.answers.quantile != nullptr}));
     HandleOptions handle_options;
-    handle_options.mode = options_.mode;
     handle_options.shards = options_.shards;
     handle_options.seed = SplitMix64Next(seed_chain_);
     handle_options.cache_max_stale_ops = options_.cache_max_stale_ops;
@@ -279,17 +280,10 @@ class SynopsisRegistry {
   /// name strings keep their capacity — every registered name is stable).
   void GetStatsInto(RegistryStats* out) const;
 
-  /// Typed read access to the live synopsis of an unsynchronized handle
-  /// (the engine's direct accessors); null when unknown, invalidated, the
-  /// wrong type, or a concurrent handle.
-  template <RegistrableSynopsis S>
-  const S* LiveUnsynchronized(std::string_view name) const {
-    const auto* typed = TypedHandle<S>(name);
-    return typed != nullptr ? typed->LiveUnsynchronized() : nullptr;
-  }
-
-  /// Typed consistent copy of a handle's current state, in any mode
-  /// (tests, persistence).
+  /// Typed consistent copy of a handle's current state: an epoch refreshed
+  /// for this call, so it holds every op observed so far (tests,
+  /// persistence).  NotFound for an unknown name or the wrong type,
+  /// FailedPrecondition once invalidated.
   template <RegistrableSynopsis S>
   Result<S> StateCopy(std::string_view name) const {
     const auto* typed = TypedHandle<S>(name);

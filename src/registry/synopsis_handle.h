@@ -18,8 +18,7 @@
 namespace aqua {
 
 /// Refresh observability for one handle: how its sharded epochs were
-/// built and how the view patch builds have been going.  All zeros /
-/// defaults for unsynchronized handles.
+/// built and how the view patch builds have been going.
 struct RefreshProfile {
   /// Sharded epochs built with no previous epoch to drain into.
   std::int64_t full_rebuilds = 0;
@@ -38,13 +37,13 @@ struct RefreshProfile {
 ///
 /// A handle wraps a concrete synopsis type together with its declared
 /// capabilities (delete semantics, mergeability, persistence, the per-kind
-/// cost/error model) and the machinery its execution mode needs: unsynchronized
-/// handles hold the synopsis directly; concurrent handles ingest through a
+/// cost/error model) and one concurrency path: it ingests through a
 /// ShardedSynopsis (mergeable, drainable types that do not apply deletes;
 /// each epoch is the previous one with the shards drained into it) or a
-/// SharedSynopsis (everything else), and answer from a SnapshotCache of
-/// published epochs.  The registry only ever talks to this interface —
-/// adding a synopsis type is a registration, not an engine fork.
+/// SharedSynopsis (everything else), and answers from a SnapshotCache of
+/// published epochs.  Every method is thread-safe.  The registry only ever
+/// talks to this interface — adding a synopsis type is a registration, not
+/// an engine fork.
 class SynopsisHandle {
  public:
   virtual ~SynopsisHandle() = default;
@@ -58,29 +57,28 @@ class SynopsisHandle {
   /// arrived, §4.1); an invalid handle ignores ingest and answers nothing.
   virtual bool valid() const = 0;
 
-  /// Ingests a batch of inserted values (thread-safe in concurrent mode).
+  /// Ingests a batch of inserted values.
   virtual void InsertBatch(std::span<const Value> values) = 0;
 
   /// Applies one delete per the declared DeleteBehavior: applies it
   /// exactly, invalidates the handle, or ignores it.
   virtual Status Delete(Value value) = 0;
 
-  /// Ingest-progress report for the handle's snapshot cache (no-op for
-  /// unsynchronized handles).
+  /// Ingest-progress report for the handle's snapshot cache.
   virtual void OnIngest(std::int64_t n) = 0;
 
   /// Current words of memory; 0 once invalidated.  A sharded handle
   /// counts its published epoch plus its shards.
   virtual Words Footprint() const = 0;
 
-  /// Pins an answer source over the handle's current state — the live
-  /// synopsis (unsynchronized mode) or the epoch-cached snapshot
-  /// (concurrent mode) — constructed into the caller's inline buffer, so
-  /// pinning never allocates.  Null when invalidated or no snapshot can be
-  /// built.  The returned pointer is invalidated by the next Emplace() on
-  /// `pinned`.  `allow_view` false forces the direct computation path (the
-  /// planner's view-vs-direct choice); answers are bit-identical on both
-  /// paths, only the cost differs.
+  /// Pins an answer source over the handle's epoch-cached snapshot
+  /// (refreshing it first when past a staleness bound), constructed into
+  /// the caller's inline buffer, so pinning never allocates.  Null when
+  /// invalidated or no snapshot can be built.  The returned pointer is
+  /// invalidated by the next Emplace() on `pinned`.  `allow_view` false
+  /// forces the direct computation path (the planner's view-vs-direct
+  /// choice); answers are bit-identical on both paths, only the cost
+  /// differs.
   virtual const AnswerSource* PinInto(PinnedAnswerSource& pinned,
                                       bool allow_view) const = 0;
   const AnswerSource* PinInto(PinnedAnswerSource& pinned) const {
@@ -105,21 +103,18 @@ class SynopsisHandle {
                              std::int64_t ns) const = 0;
 
   /// True when the current epoch's frozen view answers `kind` (the
-  /// planner's view-path option exists).  False for unsynchronized
-  /// handles and unpublished epochs.
+  /// planner's view-path option exists).  False for unpublished epochs.
   virtual bool ViewAnswers(QueryKind kind) const = 0;
 
   /// Serialized state via the descriptor's persist codec; Unimplemented
-  /// when the synopsis declared none.  Concurrent handles refresh first and
-  /// encode the published epoch, so the bytes are exactly what queries
-  /// read.
+  /// when the synopsis declared none.  Refreshes first and encodes the
+  /// published epoch, so the bytes are exactly what queries read.
   virtual Result<std::vector<std::uint8_t>> EncodeState() const = 0;
 
-  /// Replaces the handle's state from serialized bytes.  Unsynchronized
-  /// handles swap the live synopsis; concurrent handles assign the restored
-  /// state into their storage (shard 0 for sharded handles, which the next
-  /// drain carries into the epoch — recovery runs before ingest, when the
-  /// other shards and the epoch are empty).
+  /// Replaces the handle's state from serialized bytes: the restored state
+  /// is assigned into the ingest storage (shard 0 for sharded handles,
+  /// which the next drain carries into the epoch — recovery runs before
+  /// ingest, when the other shards and the epoch are empty).
   virtual Status RestoreState(const std::vector<std::uint8_t>& bytes) = 0;
 
   /// Stages a serialized delta (another node's EncodeState bytes) for
@@ -132,23 +127,21 @@ class SynopsisHandle {
   virtual Result<std::function<Status()>> PrepareDeltaMerge(
       const std::vector<std::uint8_t>& bytes) = 0;
 
-  /// Epoch-cache observability (zeros for unsynchronized handles).
+  /// Epoch-cache observability.
   virtual std::uint64_t CacheEpoch() const = 0;
   virtual SnapshotCacheStats CacheStats() const = 0;
-  virtual bool Cached() const = 0;
   /// True when the snapshot cache is past a staleness bound — the next
-  /// query would refresh it and advance the epoch.  Always false for
-  /// unsynchronized handles (no epoch to advance).
+  /// query would refresh it and advance the epoch.
   virtual bool CacheIsStale() const = 0;
   /// Refreshes the snapshot cache now if it is past a staleness bound, so
   /// the serving epoch can settle without waiting for a query to touch
-  /// this particular synopsis.  No-op for uncached handles; refresh
-  /// failures are ignored (the cache simply stays stale).
+  /// this particular synopsis.  Refresh failures are ignored (the cache
+  /// simply stays stale).
   virtual void SettleCache() const = 0;
 
   /// Frozen-view observability: whether the current epoch carries a
   /// read-optimized view, and what it cost to build (ns).  Zeros for
-  /// unsynchronized handles and synopses without a view builder.
+  /// unpublished epochs and synopses without a view builder.
   virtual bool HasView() const = 0;
   virtual std::int64_t ViewBuildNs() const = 0;
 

@@ -109,8 +109,7 @@ struct SynopsisDescriptor {
   /// epoch swap; query kinds the view serves answer from it instead of the
   /// answer functions.  Successive epochs patch the previous view's
   /// orderings instead of re-sorting — O(m + d log d) per refresh,
-  /// bit-identical to a full build.  Unsynchronized handles ignore it (no
-  /// epoch to amortize over).
+  /// bit-identical to a full build.
   std::function<FrozenView::Spec(const S&)> spec_builder;
   /// Optional persist codec (persist/snapshot.h-style byte format).
   std::function<std::vector<std::uint8_t>(const S&)> encode;
@@ -127,20 +126,9 @@ struct SynopsisDescriptor {
   }
 };
 
-/// How a handle arbitrates between ingest and queries.
-enum class ExecutionMode {
-  /// Single-threaded driver (ApproximateAnswerEngine): the synopsis is
-  /// held directly, queries read it in place.
-  kUnsynchronized,
-  /// Concurrent driver (ServingEngine, SynopsisCatalog): sharded or locked
-  /// ingest, queries from epoch-cached snapshots.
-  kConcurrent,
-};
-
 /// Per-handle construction parameters, chosen by the registry.
 struct HandleOptions {
-  ExecutionMode mode = ExecutionMode::kUnsynchronized;
-  /// Ingest shards for shardable synopses in concurrent mode.
+  /// Ingest shards for shardable synopses.
   std::size_t shards = 1;
   std::uint64_t seed = 0;
   /// Snapshot-cache staleness bounds (see SnapshotCache).
@@ -168,12 +156,12 @@ struct EpochState {
   bool view_patched = false;
 };
 
-/// The AnswerSource a TypedSynopsisHandle pins: a snapshot (or live
-/// reference) of `S`, the epoch's frozen view when one exists, and the
-/// descriptor's answer functions as the direct path.  Each answer method
-/// prefers the view (O(k)/O(log m)) and falls back to the descriptor's
-/// per-query computation — the fallback covers unsynchronized handles,
-/// synopses without a view builder, and query kinds a view doesn't serve.
+/// The AnswerSource a TypedSynopsisHandle pins: an epoch's snapshot of
+/// `S`, the epoch's frozen view when one exists, and the descriptor's
+/// answer functions as the direct path.  Each answer method prefers the
+/// view (O(k)/O(log m)) and falls back to the descriptor's per-query
+/// computation — the fallback covers the planner's direct path, synopses
+/// without a view builder, and query kinds a view doesn't serve.
 template <RegistrableSynopsis S>
 class TypedAnswerSource final : public AnswerSource {
  public:
@@ -239,15 +227,14 @@ class TypedAnswerSource final : public AnswerSource {
 };
 
 /// The one concrete SynopsisHandle implementation: binds a synopsis type to
-/// its descriptor and instantiates the execution-mode machinery that the
-/// type's capabilities permit —
-///   unsynchronized: the synopsis inline, answers read it in place;
-///   concurrent + shardable, deletes not applied: ShardedSynopsis ingest;
-///     each refresh copies the previous epoch's snapshot, drains the
-///     shards into the copy and publishes it, so the epoch is one
-///     long-lived sample kept up like the paper's single instance (§3.1);
-///   concurrent otherwise: SharedSynopsis ingest, copy-under-lock
-///     SnapshotCache.
+/// its descriptor and instantiates the ingest path that the type's
+/// capabilities permit, always behind a SnapshotCache of published epochs —
+///   shardable, deletes not applied: ShardedSynopsis ingest; each refresh
+///     copies the previous epoch's snapshot, drains the shards into the
+///     copy and publishes it, so the epoch is one long-lived sample kept
+///     up like the paper's single instance (§3.1);
+///   otherwise: SharedSynopsis ingest, each refresh copies it under its
+///     lock.
 template <RegistrableSynopsis S>
 class TypedSynopsisHandle final : public SynopsisHandle {
  public:
@@ -255,7 +242,6 @@ class TypedSynopsisHandle final : public SynopsisHandle {
                       const HandleOptions& options)
       : descriptor_(std::make_shared<const SynopsisDescriptor<S>>(
             std::move(descriptor))),
-        mode_(options.mode),
         seed_(options.seed) {
     caps_.on_delete = descriptor_->on_delete;
     for (int kind = 0; kind < kNumQueryKinds; ++kind) {
@@ -266,10 +252,6 @@ class TypedSynopsisHandle final : public SynopsisHandle {
     caps_.batch_insertable = BatchInsertable<S>;
     caps_.persistable =
         descriptor_->encode != nullptr && descriptor_->decode != nullptr;
-    if (mode_ == ExecutionMode::kUnsynchronized) {
-      live_.emplace(descriptor_->factory(ShardSeed(0)));
-      return;
-    }
     const typename SnapshotCache<EpochState<S>>::Options cache_options{
         .max_stale_ops = options.cache_max_stale_ops,
         .max_stale_interval = options.cache_max_stale_interval,
@@ -313,15 +295,9 @@ class TypedSynopsisHandle final : public SynopsisHandle {
 
   void InsertBatch(std::span<const Value> values) override {
     if (values.empty() || !valid()) return;
-    if (live_.has_value()) {
-      if constexpr (BatchInsertable<S>) {
-        live_->InsertBatch(values);
-      } else {
-        for (Value v : values) live_->Insert(v);
-      }
-    } else if (sharded_ != nullptr) {
+    if (sharded_ != nullptr) {
       sharded_->InsertBatch(values);
-    } else if (shared_ != nullptr) {
+    } else {
       shared_->InsertBatch(values);
     }
   }
@@ -331,17 +307,15 @@ class TypedSynopsisHandle final : public SynopsisHandle {
       case DeleteBehavior::kIgnores:
         return Status::OK();
       case DeleteBehavior::kInvalidates:
-        // §4.1: cannot be maintained under deletions.  Unsynchronized
-        // handles reclaim the memory immediately; concurrent handles keep
-        // the storage intact (an in-flight refresh may still read it) and
-        // just stop serving.
+        // §4.1: cannot be maintained under deletions.  The storage stays
+        // intact (an in-flight refresh may still read it); the handle just
+        // stops serving.
         valid_.store(false, std::memory_order_release);
-        if (live_.has_value()) live_.reset();
         return Status::OK();
       case DeleteBehavior::kApplies:
+        // Delete-applying synopses are never sharded (see the constructor).
         if constexpr (DeletableSynopsis<S>) {
-          if (live_.has_value()) return live_->Delete(value);
-          if (shared_ != nullptr) return shared_->Delete(value);
+          return shared_->Delete(value);
         }
         return Status::Internal(std::string(Name()) +
                                 ": kApplies without a Delete member");
@@ -349,13 +323,10 @@ class TypedSynopsisHandle final : public SynopsisHandle {
     return Status::Internal("unreachable");
   }
 
-  void OnIngest(std::int64_t n) override {
-    if (cache_ != nullptr) cache_->OnOps(n);
-  }
+  void OnIngest(std::int64_t n) override { cache_->OnOps(n); }
 
   Words Footprint() const override {
     if (!valid()) return 0;
-    if (live_.has_value()) return live_->Footprint();
     if (sharded_ != nullptr) {
       // The published epoch holds everything drained so far; the shards
       // hold what arrived since.
@@ -363,24 +334,13 @@ class TypedSynopsisHandle final : public SynopsisHandle {
       return sharded_->Footprint() +
              (state != nullptr ? state->snapshot.Footprint() : 0);
     }
-    if (shared_ != nullptr) {
-      return shared_->WithRead([](const S& s) { return s.Footprint(); });
-    }
-    return 0;
+    return shared_->WithRead([](const S& s) { return s.Footprint(); });
   }
 
   using SynopsisHandle::PinInto;
   const AnswerSource* PinInto(PinnedAnswerSource& pinned,
                               bool allow_view) const override {
     if (!valid()) return nullptr;
-    if (live_.has_value()) {
-      // Non-owning alias: the unsynchronized driver guarantees the handle
-      // outlives the answer computation.  No view — nothing to amortize
-      // a freeze over without epochs.
-      return pinned.Emplace<TypedAnswerSource<S>>(
-          descriptor_, std::shared_ptr<const S>(std::shared_ptr<const S>(),
-                                                std::addressof(*live_)));
-    }
     Result<std::shared_ptr<const EpochState<S>>> cached = cache_->Get();
     if (!cached.ok()) return nullptr;
     std::shared_ptr<const EpochState<S>> state =
@@ -408,14 +368,12 @@ class TypedSynopsisHandle final : public SynopsisHandle {
         !valid()) {
       return std::numeric_limits<double>::infinity();
     }
-    if (live_.has_value()) return entry.error(*live_, ctx, confidence);
-    if (cache_ != nullptr) {
-      // Peek, never Get: prediction must not force a refresh (the serving
-      // path settles caches through the epoch source; an epoch that was
-      // never published predicts +inf until the first query refreshes it).
-      const std::shared_ptr<const EpochState<S>> state = cache_->Peek();
-      if (state != nullptr) return entry.error(state->snapshot, ctx, confidence);
-    }
+    // Peek, never Get: prediction must not force a refresh (callers settle
+    // the caches first — the routes' scoped epoch, the pump, or an explicit
+    // SettleCaches(); an epoch that was never published predicts +inf until
+    // the first query or settle publishes it).
+    const std::shared_ptr<const EpochState<S>> state = cache_->Peek();
+    if (state != nullptr) return entry.error(state->snapshot, ctx, confidence);
     return std::numeric_limits<double>::infinity();
   }
 
@@ -451,30 +409,21 @@ class TypedSynopsisHandle final : public SynopsisHandle {
   }
 
   bool ViewAnswers(QueryKind kind) const override {
-    if (cache_ == nullptr) return false;
     const std::shared_ptr<const EpochState<S>> state = cache_->Peek();
     return state != nullptr && state->view.has_value() &&
            state->view->Answers(kind);
   }
 
-  /// A copy of the state queries read: the live synopsis (unsynchronized
-  /// mode), or the snapshot of an epoch refreshed for this call (concurrent
-  /// mode), so checkpoints and cluster pushes never miss points still
-  /// sitting in a shard or behind the cache's staleness bound.
+  /// A copy of the snapshot of an epoch refreshed for this call, so
+  /// checkpoints, cluster pushes and tests never miss points still sitting
+  /// in a shard or behind the cache's staleness bound.
   Result<S> StateCopy() const {
     if (!valid()) {
       return Status::FailedPrecondition(std::string(Name()) +
                                         " invalidated by deletions");
     }
-    if (live_.has_value()) return S(*live_);
     AQUA_RETURN_NOT_OK(cache_->Refresh());
     return S(cache_->Peek()->snapshot);
-  }
-
-  /// The live synopsis in unsynchronized mode; null otherwise (including
-  /// after invalidation).
-  const S* LiveUnsynchronized() const {
-    return live_.has_value() ? std::addressof(*live_) : nullptr;
   }
 
   Result<std::vector<std::uint8_t>> EncodeState() const override {
@@ -494,24 +443,16 @@ class TypedSynopsisHandle final : public SynopsisHandle {
     std::uint64_t chain = seed_ ^ kRestoreSeedTag;
     AQUA_ASSIGN_OR_RETURN(S restored,
                           descriptor_->decode(bytes, SplitMix64Next(chain)));
-    if (mode_ == ExecutionMode::kUnsynchronized) {
-      live_.emplace(std::move(restored));
-      valid_.store(true, std::memory_order_release);
-      return Status::OK();
-    }
-    // Concurrent mode: recovery runs before ingest, so the other shards and
-    // any published epoch are empty, and assigning the restored state into
-    // shard 0 reconstitutes the whole synopsis: the next drain merges it
-    // into an empty epoch, which keeps every point.  The cache's next
-    // refresh — forced by the ingest-ops report below — publishes it.
+    // Recovery runs before ingest, so the other shards and any published
+    // epoch are empty, and assigning the restored state into shard 0
+    // reconstitutes the whole synopsis: the next drain merges it into an
+    // empty epoch, which keeps every point.  The cache's next refresh —
+    // forced by the ingest-ops report below — publishes it.
     if constexpr (std::is_move_assignable_v<S>) {
       if constexpr (ShardableSynopsis<S>) {
         if (sharded_ != nullptr) {
           sharded_->WithShardMutable(
               0, [&restored](S& s) { s = std::move(restored); });
-          valid_.store(true, std::memory_order_release);
-          OnIngest(std::numeric_limits<std::int64_t>::max() / 2);
-          return Status::OK();
         }
       }
       if (shared_ != nullptr) {
@@ -519,13 +460,13 @@ class TypedSynopsisHandle final : public SynopsisHandle {
           s = std::move(restored);
           return Status::OK();
         });
-        valid_.store(true, std::memory_order_release);
-        OnIngest(std::numeric_limits<std::int64_t>::max() / 2);
-        return Status::OK();
       }
+      valid_.store(true, std::memory_order_release);
+      OnIngest(std::numeric_limits<std::int64_t>::max() / 2);
+      return Status::OK();
     }
     return Status::Unimplemented(std::string(Name()) +
-                                 ": state is not assignable in this mode");
+                                 ": state is not assignable");
   }
 
   Result<std::function<Status()>> PrepareDeltaMerge(
@@ -551,54 +492,41 @@ class TypedSynopsisHandle final : public SynopsisHandle {
           return Status::FailedPrecondition(std::string(Name()) +
                                             " invalidated by deletions");
         }
-        if (live_.has_value()) return live_->MergeFrom(*delta);
         if constexpr (ShardableSynopsis<S>) {
           if (sharded_ != nullptr) {
             return sharded_->WithShardMutable(
                 0, [&delta](S& s) { return s.MergeFrom(*delta); });
           }
         }
-        if (shared_ != nullptr) {
-          return shared_->WithWrite(
-              [&delta](S& s) { return s.MergeFrom(*delta); });
-        }
-        return Status::Internal("handle has no storage");
+        return shared_->WithWrite(
+            [&delta](S& s) { return s.MergeFrom(*delta); });
       });
     }
   }
 
-  std::uint64_t CacheEpoch() const override {
-    return cache_ != nullptr ? cache_->epoch() : 0;
-  }
+  std::uint64_t CacheEpoch() const override { return cache_->epoch(); }
 
-  SnapshotCacheStats CacheStats() const override {
-    return cache_ != nullptr ? cache_->Stats() : SnapshotCacheStats{};
-  }
+  SnapshotCacheStats CacheStats() const override { return cache_->Stats(); }
 
-  bool Cached() const override { return cache_ != nullptr; }
-
-  bool CacheIsStale() const override {
-    return valid() && cache_ != nullptr && cache_->IsStale();
-  }
+  bool CacheIsStale() const override { return valid() && cache_->IsStale(); }
 
   void SettleCache() const override {
-    if (valid() && cache_ != nullptr && cache_->IsStale()) {
-      // Explicit Refresh (not Get): settles are driven by the epoch
-      // source or the pump, never a query thread, so they count as
-      // external refreshes — inline_refreshes stays the precise count of
-      // Get()-triggered re-merges.  Failures leave the cache stale.
+    if (valid() && cache_->IsStale()) {
+      // Explicit Refresh (not Get): settles are driven by the routes'
+      // scoped epochs, the pump or an explicit SettleCaches(), never a
+      // query's pin, so they count as external refreshes — inline_refreshes
+      // stays the precise count of Get()-triggered re-merges.  Failures
+      // leave the cache stale.
       (void)cache_->Refresh();
     }
   }
 
   bool HasView() const override {
-    if (cache_ == nullptr) return false;
     const std::shared_ptr<const EpochState<S>> state = cache_->Peek();
     return state != nullptr && state->view.has_value();
   }
 
   std::int64_t ViewBuildNs() const override {
-    if (cache_ == nullptr) return 0;
     const std::shared_ptr<const EpochState<S>> state = cache_->Peek();
     return state != nullptr ? state->view_build_ns : 0;
   }
@@ -694,10 +622,10 @@ class TypedSynopsisHandle final : public SynopsisHandle {
 
   std::shared_ptr<const SynopsisDescriptor<S>> descriptor_;
   SynopsisCapabilities caps_;
-  ExecutionMode mode_;
   std::uint64_t seed_;
 
-  std::optional<S> live_;
+  /// Exactly one of sharded_ / shared_ holds the ingest side; cache_ is
+  /// always set.
   std::unique_ptr<ShardedSynopsis<S>> sharded_;
   std::unique_ptr<SharedSynopsis<S>> shared_;
   std::unique_ptr<SnapshotCache<EpochState<S>>> cache_;

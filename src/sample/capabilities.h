@@ -79,8 +79,8 @@ struct SynopsisCapabilities {
   bool batch_insertable = false;
   /// Has a persist encode/decode codec.
   bool persistable = false;
-  /// This handle instance shards its ingest (concurrent mode, mergeable
-  /// and drainable, deletes not applied).
+  /// This handle instance shards its ingest (mergeable and drainable,
+  /// deletes not applied).
   bool sharded = false;
   std::array<KindModelInfo, kNumQueryKinds> model = {};
 

@@ -40,7 +40,6 @@ std::uint64_t DeltaSeed(std::uint64_t node_seed, std::uint64_t seq) {
 DeltaRegistryFactory MakeClusterDeltaFactory(Words footprint_bound) {
   return [footprint_bound](std::uint64_t seed) {
     SynopsisRegistry::Options options;
-    options.mode = ExecutionMode::kUnsynchronized;
     options.shards = 1;
     options.seed = seed;
     auto registry = std::make_unique<SynopsisRegistry>(options);

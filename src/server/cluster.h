@@ -41,9 +41,10 @@ namespace aqua {
 ///     never reused;
 ///   - the commit marker lands only after the aggregator acked the push;
 ///   - recovery re-derives an exported-but-uncommitted frame
-///     byte-identically (delta registries are unsynchronized and seeded
-///     deterministically from the export seq, so their serialized state is
-///     a pure function of the op sequence) and re-pushes it;
+///     byte-identically (delta registries are seeded deterministically
+///     from the export seq, and their epochs advance only when a frame or
+///     a checkpoint encodes them, so their serialized state is a pure
+///     function of the op sequence) and re-pushes it;
 ///   - the aggregator deduplicates by (node_id, seq).
 
 enum class ClusterRole { kSingle, kIngest, kAggregator };
@@ -61,9 +62,11 @@ SynopsisSelection ClusterSelection();
 /// byte-identical to the one originally pushed.
 std::uint64_t DeltaSeed(std::uint64_t node_seed, std::uint64_t seq);
 
-/// Builds the per-round delta registry: unsynchronized (serialized under
-/// the replicator's lock anyway, and byte-deterministic, which concurrent
-/// snapshot re-seeding is not), one shard, cluster selection.
+/// Builds the per-round delta registry: a one-shard registry with the
+/// default staleness bounds, cluster selection.  Every mutation runs under
+/// the replicator's lock, and only EncodeState (a frame or a checkpoint)
+/// advances its epoch, draining the shard into it — so the encoded bytes
+/// depend only on the seed and the op sequence.
 using DeltaRegistryFactory =
     std::function<std::unique_ptr<SynopsisRegistry>(std::uint64_t seed)>;
 DeltaRegistryFactory MakeClusterDeltaFactory(Words footprint_bound);

@@ -98,7 +98,6 @@ void WriteSynopsisStats(JsonWriter& w,
     w.BeginObject();
     w.Key("name").String(s.name);
     w.Key("valid").Bool(s.valid);
-    w.Key("cached").Bool(s.cached);
     w.Key("sharded").Bool(s.sharded);
     w.Key("footprint").Int(s.footprint);
     w.Key("epoch").UInt(s.epoch);
@@ -276,7 +275,6 @@ void RegisterServingRoutes(HttpServer& server, ServingEngine& engine,
   // engine's registry is one cache scope ("stream"): its epoch advances
   // only invalidate these routes' entries, never a catalog attribute's.
   RouteOptions cacheable;
-  cacheable.cacheable = true;
   cacheable.scoped_epoch = [&engine, mode = config.refresh_mode](
                                const HttpRequest&) {
     return RegistryScopedEpoch(&engine.registry(), "stream", mode);
@@ -530,7 +528,6 @@ void RegisterCatalogRoutes(HttpServer& server, SynopsisCatalog& catalog,
   // entries keep hitting (the surgical-invalidation contract, pinned by
   // tests/server/response_cache_test.cc and e2e_http_test.cc).
   RouteOptions cacheable;
-  cacheable.cacheable = true;
   cacheable.cacheable_if = [](const HttpRequest& request) {
     return !request.path.ends_with("/stats");
   };
@@ -634,7 +631,6 @@ void HandleSqlStatement(const ServingEngine& engine,
 void RegisterQueryRoutes(HttpServer& server, ServingEngine& engine,
                          SynopsisCatalog* catalog, RefreshMode refresh_mode) {
   RouteOptions cacheable;
-  cacheable.cacheable = true;
   // Cache under the canonical statement, not the raw text: clause order,
   // percent spellings and keyword case all collapse to one entry.
   // Unparseable statements serve uncached (the 400 is never stored).
@@ -681,38 +677,6 @@ void RegisterQueryRoutes(HttpServer& server, ServingEngine& engine,
       [&engine, catalog](const HttpRequest& request, HttpResponse* response) {
         HandleSqlStatement(engine, catalog, request.body, response);
       });
-}
-
-void InstallEpochSource(HttpServer& server, ServingEngine& engine,
-                        SynopsisCatalog* catalog, RefreshMode refresh_mode) {
-  // The fallback source for cacheable routes without a scoped_epoch: the
-  // combined serving epoch of everything this process serves; nullopt
-  // (some snapshot cache stale in inline mode) forces a miss so the
-  // handler runs, refreshes, and advances the epoch — cached bytes are
-  // never fresher-looking than the staleness bounds allow.
-  server.SetEpochSource([&engine, catalog,
-                         refresh_mode]() -> std::optional<std::uint64_t> {
-    if (refresh_mode == RefreshMode::kInline) {
-      // Queries only refresh the synopsis they touch, so stale caches on
-      // other synopses would keep the epoch unsettled forever; settle
-      // them here (at most one merge per handle per staleness window).
-      // In pump mode this branch is dead by construction: the pump owns
-      // every settle, and a stale warmed cache keeps serving its current
-      // epoch, so reading the epochs below stays consistent with what a
-      // handler would render.
-      if (engine.AnyCacheStale()) engine.SettleCaches();
-      if (catalog != nullptr && catalog->AnyCacheStale()) {
-        catalog->SettleCaches();
-      }
-      if (engine.AnyCacheStale() ||
-          (catalog != nullptr && catalog->AnyCacheStale())) {
-        return std::nullopt;  // a refresh failed; serve uncached
-      }
-    }
-    std::uint64_t epoch = engine.ServingEpoch();
-    if (catalog != nullptr) epoch += catalog->ServingEpoch();
-    return epoch;
-  });
 }
 
 }  // namespace aqua

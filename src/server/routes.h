@@ -13,8 +13,8 @@ class EpochPump;
 /// Who runs epoch refreshes (snapshot re-merges + frozen-view builds).
 enum class RefreshMode {
   /// The first request past a staleness bound settles the caches inline
-  /// (inside the epoch source) before its epoch is read — refresh cost
-  /// lands on a query thread at every epoch boundary.
+  /// (inside the route's scoped epoch) before its epoch is read — refresh
+  /// cost lands on a query thread at every epoch boundary.
   kInline,
   /// A background EpochPump owns every SettleCaches() call; the scoped
   /// epoch sources only *read* epochs, so a query thread never executes a
@@ -81,16 +81,6 @@ void RegisterCatalogRoutes(HttpServer& server, SynopsisCatalog& catalog,
 void RegisterQueryRoutes(HttpServer& server, ServingEngine& engine,
                          SynopsisCatalog* catalog = nullptr,
                          RefreshMode refresh_mode = RefreshMode::kInline);
-
-/// Installs the server-wide serving-epoch source — the fallback for
-/// cacheable routes without a scoped source: the combined epoch of the
-/// engine and the optional catalog.  In inline mode, stale snapshot caches
-/// are settled first so the epoch converges without waiting for a query to
-/// touch every synopsis; in pump mode the source only reads epochs (the
-/// pump owns every settle).  `catalog` may be null.
-void InstallEpochSource(HttpServer& server, ServingEngine& engine,
-                        SynopsisCatalog* catalog,
-                        RefreshMode refresh_mode = RefreshMode::kInline);
 
 }  // namespace aqua
 

@@ -86,7 +86,6 @@ void HttpServer::Route(std::string method, std::string path, Handler handler,
   entry.method = std::move(method);
   entry.path = std::move(path);
   entry.handler = std::move(handler);
-  entry.cacheable = route_options.cacheable;
   entry.cacheable_if = std::move(route_options.cacheable_if);
   entry.canonical_key = std::move(route_options.canonical_key);
   entry.scoped_epoch = std::move(route_options.scoped_epoch);
@@ -103,7 +102,6 @@ void HttpServer::RoutePrefix(std::string method, std::string prefix,
   entry.method = std::move(method);
   entry.path = std::move(prefix);
   entry.handler = std::move(handler);
-  entry.cacheable = route_options.cacheable;
   entry.cacheable_if = std::move(route_options.cacheable_if);
   entry.canonical_key = std::move(route_options.canonical_key);
   entry.scoped_epoch = std::move(route_options.scoped_epoch);
@@ -546,32 +544,24 @@ bool HttpServer::ServeInline(Reactor& reactor, Connection* conn,
                              const HttpRequest& request) {
   requests_.fetch_add(1, std::memory_order_relaxed);
 
-  const bool scoped = route != nullptr && route->scoped_epoch != nullptr;
-  bool cacheable = route != nullptr && route->cacheable &&
-                   (scoped || static_cast<bool>(epoch_source_)) &&
+  bool cacheable = route != nullptr && route->scoped_epoch != nullptr &&
                    (!route->cacheable_if || route->cacheable_if(request));
   if (cacheable && request.NoCache()) {
     reactor.cache.CountBypass();
     cacheable = false;
   }
-  std::optional<std::uint64_t> epoch_before;
-  // The owning scope when the route installs a scoped epoch source ("" =
-  // the server-wide epoch domain): cached under that scope's own epoch,
-  // so advances elsewhere never touch this entry.
+  // The owning scope and its epoch: the entry is cached under that scope's
+  // own epoch, so advances elsewhere never touch it.
   std::string_view scope;
+  std::uint64_t epoch = 0;
   std::string_view key;
   if (cacheable) {
-    if (scoped) {
-      const std::optional<RouteOptions::ScopedEpoch> se =
-          route->scoped_epoch(request);
-      if (se.has_value()) {
-        scope = se->scope;
-        epoch_before = se->epoch;
-      }
+    const std::optional<RouteOptions::ScopedEpoch> se =
+        route->scoped_epoch(request);
+    if (se.has_value()) {
+      scope = se->scope;
+      epoch = se->epoch;
     } else {
-      epoch_before = epoch_source_();
-    }
-    if (!epoch_before.has_value()) {
       // Epoch unsettled (a snapshot cache is stale): the handler must run
       // so the refresh happens and the epoch advances.
       reactor.cache.CountMiss();
@@ -589,7 +579,7 @@ bool HttpServer::ServeInline(Reactor& reactor, Connection* conn,
   }
   if (cacheable) {
     if (const std::shared_ptr<const std::string>* pinned =
-            reactor.cache.LookupPinned(scope, *epoch_before, key)) {
+            reactor.cache.LookupPinned(scope, epoch, key)) {
       // Hit: replay the stored bytes verbatim — no handler, no snapshot
       // pin, no allocation.  The entry itself is handed to the backend:
       // epoll writes from it in place (pinning it only if a tail parks);
@@ -628,26 +618,21 @@ bool HttpServer::ServeInline(Reactor& reactor, Connection* conn,
   if (cacheable && response.status_code == 200 &&
       response.keep_alive == request.keep_alive) {
     // Store only when the epoch did not move while the handler ran: equal
-    // bracketing reads of the (scope's) monotonic serving epoch prove
-    // every snapshot the handler saw belonged to epoch_before, so the
+    // bracketing reads of the scope's monotonic serving epoch prove every
+    // snapshot the handler saw belonged to that epoch, so the
     // bytes are valid for the whole epoch (byte-identical replay).
     // Pinning the entry builds the contiguous wire string — the one
     // deliberate allocation on this path, paid once per (scope, epoch,
     // key), amortized across every later hit.
-    std::optional<std::uint64_t> epoch_after;
-    if (scoped) {
-      const std::optional<RouteOptions::ScopedEpoch> se =
-          route->scoped_epoch(request);
-      if (se.has_value() && se->scope == scope) epoch_after = se->epoch;
-    } else {
-      epoch_after = epoch_source_();
-    }
-    if (epoch_after.has_value() && *epoch_after == *epoch_before) {
+    const std::optional<RouteOptions::ScopedEpoch> epoch_after =
+        route->scoped_epoch(request);
+    if (epoch_after.has_value() && epoch_after->scope == scope &&
+        epoch_after->epoch == epoch) {
       std::string wire;
       wire.reserve(head.size() + response.body.size());
       wire.append(head);
       wire.append(response.body);
-      reactor.cache.Store(scope, *epoch_before, key, std::move(wire));
+      reactor.cache.Store(scope, epoch, key, std::move(wire));
     }
   }
 

@@ -68,13 +68,9 @@ struct RouteOptions {
   /// explicitly so it cannot stall a reactor.
   enum class Dispatch { kAuto, kInline, kWorker };
   Dispatch dispatch = Dispatch::kAuto;
-  /// Inline routes only: 200 responses may be served from / stored into
-  /// the reactor's epoch-keyed response cache.  Requires an epoch source
-  /// (SetEpochSource) to take effect.
-  bool cacheable = false;
-  /// Optional per-request veto consulted when `cacheable` (prefix routes
-  /// covering a mix of cacheable and live paths).  Return false to serve
-  /// the request uncached.
+  /// Optional per-request veto consulted for routes with a scoped_epoch
+  /// (prefix routes covering a mix of cacheable and live paths).  Return
+  /// false to serve the request uncached.
   std::function<bool(const HttpRequest&)> cacheable_if;
   /// Optional canonical cache-key builder for routes whose query strings
   /// have many spellings of one meaning (/query's SQL text): append the
@@ -93,13 +89,14 @@ struct RouteOptions {
     std::string_view scope;
     std::uint64_t epoch = 0;
   };
-  /// Optional per-request scoped epoch source, preferred over the
-  /// server-wide SetEpochSource() source when set: cached entries are
-  /// keyed under the returned scope's own epoch, so an epoch advance on
-  /// one scope (one attribute's ingest) leaves every other scope's warmed
-  /// entries intact — surgical instead of wholesale invalidation.  Return
-  /// nullopt to serve the request uncached (the scope's epoch is
-  /// unsettled or the request doesn't resolve to one scope).
+  /// The per-request scoped epoch source; an inline route caches exactly
+  /// when it sets one.  200 responses are then served from / stored into
+  /// the reactor's response cache, keyed under the returned scope's own
+  /// epoch, so an epoch advance on one scope (one attribute's ingest)
+  /// leaves every other scope's warmed entries intact — surgical instead
+  /// of wholesale invalidation.  Return nullopt to serve the request
+  /// uncached (the scope's epoch is unsettled or the request doesn't
+  /// resolve to one scope).
   std::function<std::optional<ScopedEpoch>(const HttpRequest&)> scoped_epoch;
 };
 
@@ -140,11 +137,6 @@ class HttpServer {
   /// Return-by-value convenience form (tests, simple endpoints); wrapped
   /// into a Handler at registration, paying one response copy per call.
   using SimpleHandler = std::function<HttpResponse(const HttpRequest&)>;
-  /// The serving epoch the response cache keys on, or nullopt when the
-  /// epoch is unsettled (some snapshot cache is stale and the next query
-  /// would refresh it) — nullopt forces the handler to run so the refresh
-  /// happens and the epoch advances.
-  using EpochSource = std::function<std::optional<std::uint64_t>()>;
 
   explicit HttpServer(const HttpServerOptions& options);
   ~HttpServer();
@@ -168,13 +160,6 @@ class HttpServer {
                    RouteOptions route_options = {});
   void RoutePrefix(std::string method, std::string prefix,
                    SimpleHandler handler, RouteOptions route_options = {});
-
-  /// Installs the serving-epoch source the response caches key on.  Must
-  /// be called before Start().  Without one, response caching is disabled
-  /// (cacheable routes always render).
-  void SetEpochSource(EpochSource source) {
-    epoch_source_ = std::move(source);
-  }
 
   /// Binds the per-reactor listeners and spawns the reactor + worker
   /// threads.
@@ -225,7 +210,6 @@ class HttpServer {
     std::string path;
     Handler handler;
     bool run_inline = false;
-    bool cacheable = false;
     std::function<bool(const HttpRequest&)> cacheable_if;
     std::function<bool(const HttpRequest&, std::string*)> canonical_key;
     std::function<std::optional<RouteOptions::ScopedEpoch>(
@@ -355,7 +339,6 @@ class HttpServer {
   HttpRequestParser::Limits limits_;
   std::vector<RouteEntry> routes_;
   std::vector<RouteEntry> prefix_routes_;
-  EpochSource epoch_source_;
 
   std::uint16_t port_ = 0;
   IoBackendKind io_backend_actual_ = IoBackendKind::kEpoll;

@@ -10,7 +10,6 @@ namespace {
 SynopsisRegistry::Options RegistryOptions(
     const ServingEngineOptions& options) {
   SynopsisRegistry::Options registry_options;
-  registry_options.mode = ExecutionMode::kConcurrent;
   registry_options.shards = options.shards;
   registry_options.seed = options.seed;
   registry_options.cache_max_stale_ops = options.cache_max_stale_ops;

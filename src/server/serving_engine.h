@@ -38,9 +38,9 @@ struct ServingEngineOptions : SynopsisSelection {
 /// concurrent ingest and queries, and with per-query cost independent of
 /// the shard count.
 ///
-/// Like the warehouse engine, this is now a thin driver over one
-/// SynopsisRegistry — in concurrent mode, so each handle instantiates the
-/// machinery its capabilities permit: the insert-only mergeable synopses
+/// Like the warehouse engine, this is a thin driver over one
+/// SynopsisRegistry, whose handles each instantiate the machinery their
+/// capabilities permit: the insert-only mergeable synopses
 /// (concise/traditional) shard their ingest across per-lock shards, and
 /// each refresh drains the shards into a copy of the previous epoch; the
 /// rest (counting sample, FM sketch) stay single-instance behind one mutex

@@ -34,8 +34,9 @@ Status SynopsisCatalog::RegisterAttribute(const std::string& name,
   if (name.empty()) {
     return Status::InvalidArgument("attribute name must be non-empty");
   }
-  if (options.weight <= 0.0) {
-    return Status::InvalidArgument("attribute weight must be positive");
+  if (!std::isfinite(options.weight) || options.weight <= 0.0) {
+    return Status::InvalidArgument(
+        "attribute weight must be positive and finite");
   }
   if (attributes_.contains(name)) {
     return Status::AlreadyExists("attribute already registered: " + name);
@@ -54,6 +55,9 @@ Status SynopsisCatalog::Seal() {
   double total_weight = 0.0;
   for (const auto& [name, attribute] : attributes_) {
     total_weight += attribute.options.weight;
+  }
+  if (!std::isfinite(total_weight)) {
+    return Status::InvalidArgument("attribute weights overflow their sum");
   }
   // Budget carve per attribute: the weighted share is first charged the
   // fixed sketch words (the FM sketch's footprint does not scale with its
@@ -103,7 +107,6 @@ Status SynopsisCatalog::Seal() {
     }
     attribute.share = share;
     SynopsisRegistry::Options registry_options;
-    registry_options.mode = ExecutionMode::kConcurrent;
     registry_options.shards = options_.shards;
     registry_options.seed = SplitMix64Next(seed);
     registry_options.cache_max_stale_ops = options_.cache_max_stale_ops;
@@ -222,23 +225,6 @@ Words SynopsisCatalog::TotalFootprint() const {
     if (attribute.registry) total += attribute.registry->TotalFootprint();
   }
   return total;
-}
-
-std::uint64_t SynopsisCatalog::ServingEpoch() const {
-  std::uint64_t epoch = 0;
-  for (const auto& [name, attribute] : attributes_) {
-    if (attribute.registry) epoch += attribute.registry->ServingEpoch();
-  }
-  return epoch;
-}
-
-bool SynopsisCatalog::AnyCacheStale() const {
-  for (const auto& [name, attribute] : attributes_) {
-    if (attribute.registry && attribute.registry->AnyCacheStale()) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void SynopsisCatalog::SettleCaches() const {

@@ -121,16 +121,6 @@ class SynopsisCatalog {
   /// words, per-synopsis bounds permitting).
   Words TotalFootprint() const;
 
-  /// Catalog-wide monotonic serving epoch: the sum of every attribute
-  /// registry's serving epoch (see SynopsisRegistry::ServingEpoch).  Any
-  /// epoch swap or invalidation anywhere in the catalog advances it.
-  /// 0 before Seal().
-  std::uint64_t ServingEpoch() const;
-
-  /// True when any attribute's snapshot cache is past a staleness bound
-  /// (the serving epoch is about to advance).
-  bool AnyCacheStale() const;
-
   /// Refreshes every attribute's stale snapshot caches (see
   /// SynopsisRegistry::SettleCaches).
   void SettleCaches() const;

@@ -10,8 +10,6 @@ namespace {
 
 SynopsisRegistry::Options RegistryOptions(const EngineOptions& options) {
   SynopsisRegistry::Options registry_options;
-  registry_options.mode = ExecutionMode::kUnsynchronized;
-  registry_options.shards = 1;
   registry_options.seed = options.seed;
   return registry_options;
 }

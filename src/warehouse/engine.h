@@ -5,12 +5,8 @@
 #include <span>
 #include <utility>
 
-#include "core/concise_sample.h"
-#include "core/counting_sample.h"
 #include "registry/builtin.h"
 #include "registry/registry.h"
-#include "sample/reservoir_sample.h"
-#include "sketch/flajolet_martin.h"
 #include "warehouse/full_histogram.h"
 #include "workload/stream.h"
 
@@ -36,14 +32,19 @@ SynopsisDescriptor<FullHistogram> FullHistogramDescriptor(
 /// alongside the warehouse, maintains its registered synopses entirely in
 /// memory, and answers queries without any access to the base data.
 ///
-/// This is a thin single-threaded driver over a SynopsisRegistry: the
-/// selected built-in synopses are registered at construction, queries go
-/// through the planner on registry() (RunPlannedQueryInto in
+/// This is a thin driver over a one-shard SynopsisRegistry with the
+/// registry's default staleness bounds: the selected built-in synopses are
+/// registered at construction and run the same ingest, epoch and frozen-view
+/// path the server runs, with every op published at the next query's pin.
+/// Queries go through the planner on registry() (RunPlannedQueryInto in
 /// plan/planner.h; unbounded queries follow §6's accuracy ordering — hot
-/// lists prefer the counting sample, then concise, then traditional), and
-/// deletions flow to each synopsis per its declared DeleteBehavior (§4.1:
-/// concise/traditional samples are invalidated by the first delete;
-/// counting samples and the full histogram apply it exactly).
+/// lists prefer the counting sample, then concise, then traditional);
+/// bounded queries read the published epoch's predictions, so call
+/// registry().SettleCaches() first.  Deletions flow to each synopsis per
+/// its declared DeleteBehavior (§4.1: concise/traditional samples are
+/// invalidated by the first delete; counting samples and the full
+/// histogram apply it exactly).  A synopsis's state is read with
+/// registry().StateCopy<S>(name).
 class ApproximateAnswerEngine {
  public:
   explicit ApproximateAnswerEngine(const EngineOptions& options);
@@ -66,26 +67,6 @@ class ApproximateAnswerEngine {
   /// Observe().  Statistically identical to observing op-by-op.
   Status ObserveBatch(std::span<const StreamOp> ops) {
     return registry_.ObserveBatch(ops);
-  }
-
-  /// Direct access to the maintained synopses (null when not maintained or
-  /// invalidated by deletions).
-  const ReservoirSample* traditional() const {
-    return registry_.LiveUnsynchronized<ReservoirSample>(
-        kTraditionalSynopsisName);
-  }
-  const ConciseSample* concise() const {
-    return registry_.LiveUnsynchronized<ConciseSample>(kConciseSynopsisName);
-  }
-  const CountingSample* counting() const {
-    return registry_.LiveUnsynchronized<CountingSample>(
-        kCountingSynopsisName);
-  }
-  const FullHistogram* full_histogram() const {
-    return registry_.LiveUnsynchronized<FullHistogram>(kFullHistogramName);
-  }
-  const FlajoletMartin* distinct_sketch() const {
-    return registry_.LiveUnsynchronized<FlajoletMartin>(kDistinctSketchName);
   }
 
   /// The registry-backed core (capability introspection, stats, custom

@@ -106,7 +106,6 @@ TEST(ShardedStress, DrainRacesInsertBatch) {
   constexpr int kBatches = 150;
   constexpr std::size_t kBatch = 256;
   HandleOptions options;
-  options.mode = ExecutionMode::kConcurrent;
   options.shards = 4;
   options.seed = 0x5EED;
   options.cache_max_stale_ops = 0;

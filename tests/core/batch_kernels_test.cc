@@ -9,16 +9,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "container/flat_hash_map.h"
-#include "core/concise_sample.h"
-#include "core/counting_sample.h"
 #include "random/random.h"
-#include "workload/generators.h"
 
 namespace aqua {
 namespace {
@@ -76,68 +71,6 @@ TEST(BatchKernelsTest, HashBatchExtremeValues) {
   HashBatch(values, hashes.data());
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(hashes[i], reference(values[i])) << values[i];
-  }
-}
-
-// Prehashed sample ingestion must be bit-identical to the self-hashing
-// batch path (which the equivalence suite already pins against per-element
-// Insert) across the same width sweep.
-TEST(BatchKernelsTest, PrehashedConciseSampleMatches) {
-  const std::vector<Value> data = ZipfValues(40000, 2000, 1.0, 777);
-  ConciseSampleOptions o;
-  o.footprint_bound = 300;
-  o.seed = 21;
-  ConciseSample plain(o);
-  ConciseSample prehashed(o);
-  std::vector<std::uint64_t> hashes(data.size());
-  HashBatch(data, hashes.data());
-  const std::span<const Value> all(data);
-  const std::span<const std::uint64_t> all_hashes(hashes);
-  for (std::size_t n : WidthSweep()) {
-    std::size_t i = 0;
-    // consume the stream in sweep-sized slices, alternating entry points
-    for (; i + n <= data.size() && n > 0; i += n) {
-      plain.InsertBatch(all.subspan(i, n));
-      prehashed.InsertBatchPrehashed(all.subspan(i, n),
-                                     all_hashes.subspan(i, n));
-    }
-    EXPECT_EQ(plain.SampleSize(), prehashed.SampleSize());
-    EXPECT_EQ(plain.Threshold(), prehashed.Threshold());
-    break;  // one full pass with the first nonzero size is enough here
-  }
-}
-
-TEST(BatchKernelsTest, PrehashedCountingSampleMatchesEverySliceSize) {
-  const std::vector<Value> data = ZipfValues(30000, 1500, 0.8, 555);
-  for (std::size_t n : WidthSweep()) {
-    if (n == 0) continue;
-    CountingSampleOptions o;
-    o.footprint_bound = 250;
-    o.seed = 31;
-    CountingSample plain(o);
-    CountingSample prehashed(o);
-    std::vector<std::uint64_t> hashes(data.size());
-    HashBatch(data, hashes.data());
-    const std::span<const Value> all(data);
-    const std::span<const std::uint64_t> all_hashes(hashes);
-    for (std::size_t i = 0; i < data.size(); i += n) {
-      const std::size_t len = std::min(n, data.size() - i);
-      plain.InsertBatch(all.subspan(i, len));
-      prehashed.InsertBatchPrehashed(all.subspan(i, len),
-                                     all_hashes.subspan(i, len));
-    }
-    EXPECT_EQ(plain.Threshold(), prehashed.Threshold()) << "slice " << n;
-    EXPECT_EQ(plain.CountedOccurrences(), prehashed.CountedOccurrences())
-        << "slice " << n;
-    auto a = plain.Entries();
-    auto b = prehashed.Entries();
-    std::sort(a.begin(), a.end(), [](const ValueCount& x, const ValueCount& y) {
-      return x.value < y.value;
-    });
-    std::sort(b.begin(), b.end(), [](const ValueCount& x, const ValueCount& y) {
-      return x.value < y.value;
-    });
-    EXPECT_EQ(a, b) << "slice " << n;
   }
 }
 

@@ -66,6 +66,8 @@ struct TwoSynopsisFixture {
     for (Value v = 0; v < 100; ++v) {
       EXPECT_TRUE(registry.Observe(StreamOp::Insert(v)).ok());
     }
+    // Predictions read the published epoch: publish one.
+    registry.SettleCaches();
     fine = registry.handle("fine");
     coarse = registry.handle("coarse");
   }

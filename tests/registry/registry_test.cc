@@ -29,7 +29,7 @@ namespace {
 /// A custom synopsis private to this test: exact distinct count via a set.
 /// Deliberately minimal — no MergeFrom/Drain/InsertBatch/Delete — so the
 /// registry must fall back to per-element inserts and single-instance
-/// (SharedSynopsis) execution in concurrent mode.
+/// (SharedSynopsis) execution.
 struct ExactDistinct {
   std::set<Value> values;
   void Insert(Value v) { values.insert(v); }
@@ -125,7 +125,7 @@ PlannedResponse Ask(const SynopsisRegistry& registry,
 const PlannedQuery kDistinct = {.kind = QueryKind::kDistinct};
 
 // The tentpole's acceptance test: ONE descriptor, registered once per
-// driver, served by both the single-threaded engine and the concurrent
+// driver, served by both the one-shard warehouse engine and the sharded
 // serving engine — same method tag, same exact answer, and it outranks the
 // built-in FM sketch in both without any per-engine selection code.
 TEST(SynopsisRegistryTest, CustomSynopsisServedByBothEngines) {
@@ -163,8 +163,6 @@ TEST(SynopsisRegistryTest, CapabilitiesGateShardingAndCaching) {
   bool checked_sharded = false;
   bool checked_single = false;
   for (const SynopsisHandleStats& s : stats.synopses) {
-    // Every concurrent handle answers from an epoch cache.
-    EXPECT_TRUE(s.cached) << s.name;
     if (s.name == kConciseSynopsisName ||
         s.name == kTraditionalSynopsisName) {
       EXPECT_TRUE(s.sharded) << s.name;  // mergeable, drainable, insert-only
@@ -192,11 +190,16 @@ TEST(SynopsisRegistryTest, CapabilitiesGateShardingAndCaching) {
   EXPECT_EQ(after.method, "exact-counts");
   EXPECT_DOUBLE_EQ(after.estimate.value, 4.0);
 
-  // The unsynchronized engine uses no caches at all.
+  // Both answers came from published epochs: the delete was published as
+  // the second.
+  EXPECT_EQ(serving.registry().handle("exact-counts")->CacheEpoch(), 2u);
+
+  // The engine's one-shard registry takes the same capability gate.
   ApproximateAnswerEngine engine(EngineOptions{});
   for (const SynopsisHandleStats& s : engine.registry().GetStats().synopses) {
-    EXPECT_FALSE(s.cached) << s.name;
-    EXPECT_FALSE(s.sharded) << s.name;
+    EXPECT_EQ(s.sharded, s.name == kConciseSynopsisName ||
+                             s.name == kTraditionalSynopsisName)
+        << s.name;
   }
 }
 
@@ -251,13 +254,19 @@ TEST(SynopsisRegistryTest, CostErrorModelIsLiveAndMeasured) {
   EXPECT_TRUE(concise->Capabilities().Answers(QueryKind::kCountWhere));
   EXPECT_FALSE(concise->Capabilities().Answers(QueryKind::kDistinct));
 
-  // An empty sample predicts nothing; an undeclared kind never predicts.
+  // An empty sample predicts nothing, even once its empty epoch is
+  // published (StateCopy publishes one); an undeclared kind never predicts.
   QueryContext ctx{engine.registry().observed_inserts()};
+  ASSERT_TRUE(
+      engine.registry().StateCopy<ConciseSample>(kConciseSynopsisName).ok());
+  ASSERT_EQ(concise->CacheEpoch(), 1u);
   EXPECT_TRUE(std::isinf(
       concise->PredictedError(QueryKind::kCountWhere, ctx, 0.95)));
   for (Value v : UniformValues(5000, 200, 11)) {
     ASSERT_TRUE(engine.Observe(StreamOp::Insert(v)).ok());
   }
+  // Predictions read the published epoch: settle it first.
+  engine.registry().SettleCaches();
   ctx.observed_inserts = engine.registry().observed_inserts();
   const double err95 =
       concise->PredictedError(QueryKind::kCountWhere, ctx, 0.95);
@@ -269,15 +278,19 @@ TEST(SynopsisRegistryTest, CostErrorModelIsLiveAndMeasured) {
   EXPECT_TRUE(
       std::isinf(concise->PredictedError(QueryKind::kDistinct, ctx, 0.95)));
 
-  // Answering feeds the measured latency profile on the path taken.
-  EXPECT_EQ(concise->LatencyFor(QueryKind::kCountWhere).direct_observations,
+  // Answering feeds the measured latency profile on the path taken: the
+  // published epoch's frozen view serves count_where.
+  EXPECT_TRUE(concise->ViewAnswers(QueryKind::kCountWhere));
+  EXPECT_EQ(concise->LatencyFor(QueryKind::kCountWhere).view_observations,
             0);
   const auto response = Ask(
       engine.registry(), {.kind = QueryKind::kCountWhere, .range = {1, 100}});
   EXPECT_EQ(response.method, kConciseSynopsisName);
+  EXPECT_TRUE(response.used_view);
   const LatencyProfile profile = concise->LatencyFor(QueryKind::kCountWhere);
-  EXPECT_GE(profile.direct_observations, 1);
-  EXPECT_GT(profile.direct_ns, 0.0);
+  EXPECT_GE(profile.view_observations, 1);
+  EXPECT_GT(profile.view_ns, 0.0);
+  EXPECT_EQ(profile.direct_observations, 0);
 }
 
 TEST(SynopsisRegistryTest, AccuracyOrderSelectsBestThenFallsBack) {
@@ -333,9 +346,19 @@ TEST(SynopsisRegistryTest, PersistRoundTripsThroughHandles) {
       restored.registry().mutable_handle(kConciseSynopsisName);
   ASSERT_NE(target, nullptr);
   ASSERT_TRUE(target->RestoreState(bytes.ValueOrDie()).ok());
-  ASSERT_NE(restored.concise(), nullptr);
-  EXPECT_EQ(restored.concise()->SampleSize(), source.concise()->SampleSize());
-  EXPECT_EQ(restored.concise()->Threshold(), source.concise()->Threshold());
+  const ConciseSample original =
+      source.registry()
+          .StateCopy<ConciseSample>(kConciseSynopsisName)
+          .ValueOrDie();
+  const ConciseSample copy =
+      restored.registry()
+          .StateCopy<ConciseSample>(kConciseSynopsisName)
+          .ValueOrDie();
+  EXPECT_EQ(copy.SampleSize(), original.SampleSize());
+  EXPECT_EQ(copy.Threshold(), original.Threshold());
+  EXPECT_EQ(copy.ObservedInserts(), 30000);
+  // Re-encoding the restored epoch gives back the same bytes.
+  EXPECT_EQ(target->EncodeState().ValueOrDie(), bytes.ValueOrDie());
 
   // The sketch has no codec; the capability and the error say so.
   const SynopsisHandle* sketch =
@@ -423,9 +446,14 @@ TEST(SynopsisRegistryTest, DeleteBehaviorsRouteIndependently) {
   }
   ASSERT_TRUE(engine.Observe(StreamOp::Delete(3)).ok());
 
-  EXPECT_EQ(engine.concise(), nullptr);              // kInvalidates
-  ASSERT_NE(engine.counting(), nullptr);             // kApplies
-  EXPECT_EQ(engine.counting()->CountOf(3), 49);
+  const SynopsisRegistry& registry = engine.registry();
+  EXPECT_EQ(  // kInvalidates
+      registry.StateCopy<ConciseSample>(kConciseSynopsisName).status().code(),
+      StatusCode::kFailedPrecondition);
+  const Result<CountingSample> counting =  // kApplies
+      registry.StateCopy<CountingSample>(kCountingSynopsisName);
+  ASSERT_TRUE(counting.ok());
+  EXPECT_EQ(counting.ValueOrDie().CountOf(3), 49);
   const auto distinct = Ask(engine.registry(), kDistinct);  // kIgnores
   EXPECT_EQ(distinct.method, "exact-distinct");
   EXPECT_DOUBLE_EQ(distinct.estimate.value, 10.0);

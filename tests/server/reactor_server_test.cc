@@ -245,7 +245,9 @@ TEST(ReactorServerTest, CacheReplaysBytesWithinEpochAndInvalidatesOnSwap) {
   std::atomic<std::uint64_t> epoch{1};
   std::atomic<int> renders{0};
   RouteOptions cacheable;
-  cacheable.cacheable = true;
+  cacheable.scoped_epoch = [&epoch](const HttpRequest&) {
+    return std::optional<RouteOptions::ScopedEpoch>({"render", epoch.load()});
+  };
   server.Route("GET", "/render",
                [&renders](const HttpRequest&) {
                  HttpResponse r;
@@ -255,8 +257,6 @@ TEST(ReactorServerTest, CacheReplaysBytesWithinEpochAndInvalidatesOnSwap) {
                  return r;
                },
                cacheable);
-  server.SetEpochSource(
-      [&epoch]() -> std::optional<std::uint64_t> { return epoch.load(); });
   ASSERT_TRUE(server.Start().ok());
 
   // Same keep-alive connection -> same reactor -> same per-reactor cache.
@@ -310,7 +310,11 @@ TEST(ReactorServerTest, UnsettledEpochForcesHandlerToRun) {
   std::atomic<bool> settled{false};
   std::atomic<int> renders{0};
   RouteOptions cacheable;
-  cacheable.cacheable = true;
+  cacheable.scoped_epoch = [&settled](const HttpRequest&)
+      -> std::optional<RouteOptions::ScopedEpoch> {
+    if (!settled.load()) return std::nullopt;
+    return RouteOptions::ScopedEpoch{"r", 5};
+  };
   server.Route("GET", "/r",
                [&renders](const HttpRequest&) {
                  HttpResponse r;
@@ -319,10 +323,6 @@ TEST(ReactorServerTest, UnsettledEpochForcesHandlerToRun) {
                  return r;
                },
                cacheable);
-  server.SetEpochSource([&settled]() -> std::optional<std::uint64_t> {
-    if (!settled.load()) return std::nullopt;
-    return 5;
-  });
   ASSERT_TRUE(server.Start().ok());
 
   // Unsettled epoch: every request renders (the handler is what refreshes
@@ -350,7 +350,9 @@ TEST(ReactorStress, CachedReadsRaceEpochBumps) {
 
   std::atomic<std::uint64_t> epoch{1};
   RouteOptions cacheable;
-  cacheable.cacheable = true;
+  cacheable.scoped_epoch = [&epoch](const HttpRequest&) {
+    return std::optional<RouteOptions::ScopedEpoch>({"e", epoch.load()});
+  };
   // The body embeds the epoch observed by the handler; a correctly
   // bracketed cache can only replay bytes whose embedded epoch matches
   // the epoch the entry is stored under, so a reader can never observe a
@@ -365,8 +367,6 @@ TEST(ReactorStress, CachedReadsRaceEpochBumps) {
                  return r;
                },
                cacheable);
-  server.SetEpochSource(
-      [&epoch]() -> std::optional<std::uint64_t> { return epoch.load(); });
   ASSERT_TRUE(server.Start().ok());
 
   std::atomic<int> failures{0};

@@ -189,7 +189,6 @@ TEST_P(RouteGolden, EveryQueryGetMatchesTheGoldenFile) {
   RegisterServingRoutes(server, engine);
   RegisterCatalogRoutes(server, catalog);
   RegisterQueryRoutes(server, engine, &catalog);
-  InstallEpochSource(server, engine, &catalog);
   ASSERT_TRUE(server.Start().ok());
   ASSERT_EQ(server.io_backend(), GetParam());
 

@@ -6,6 +6,9 @@
 //    contents are deterministic: a single-shard snapshot is a copy, and no
 //    merge randomness enters the answer),
 //  - NaN and infinite query parameters answer 400 instead of aborting,
+//  - bad numeric flags (a Zipf preload spec out of range, a NaN, infinite
+//    or overflowing --attr weight) exit with the usage status 2 instead of
+//    aborting or being ignored,
 //  - overload answers 503 (one worker + queue capacity 1 + a debug request
 //    that holds the worker),
 //  - SIGTERM drains gracefully with exit code 0.
@@ -17,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -179,6 +183,54 @@ TEST(ServeE2eTest, NonFiniteParametersAnswer400AndTheServerSurvives) {
   EXPECT_EQ(Fetch(server.port(), "/healthz").status, 200);
   EXPECT_EQ(Fetch(server.port(), "/quantile?q=0.5").status, 200);
   EXPECT_EQ(server.TerminateAndWait(), 0);
+}
+
+/// Runs aqua_serve with `args` to its exit, output discarded, and returns
+/// its wait status.  A server that starts serving instead is killed after
+/// 10 s (so the status then shows a signal).
+int RunToExit(const std::vector<std::string>& args) {
+  const pid_t pid = fork();
+  if (pid == 0) {
+    const int devnull = open("/dev/null", O_WRONLY);
+    dup2(devnull, STDOUT_FILENO);
+    dup2(devnull, STDERR_FILENO);
+    std::vector<std::string> all = {AQUA_SERVE_BINARY, "--port", "0"};
+    all.insert(all.end(), args.begin(), args.end());
+    std::vector<char*> argv;
+    for (std::string& a : all) argv.push_back(a.data());
+    argv.push_back(nullptr);
+    execv(argv[0], argv.data());
+    _exit(127);
+  }
+  int wstatus = 0;
+  for (int waited_ms = 0; waited_ms < 10000; waited_ms += 10) {
+    if (waitpid(pid, &wstatus, WNOHANG) == pid) return wstatus;
+    usleep(10000);
+  }
+  kill(pid, SIGKILL);
+  waitpid(pid, &wstatus, 0);
+  return wstatus;
+}
+
+TEST(ServeE2eTest, BadNumericFlagsExitTwoWithoutASignal) {
+  const std::vector<std::vector<std::string>> specs = {
+      {"--preload-zipf", "10,0,1.0,1"},    // empty domain
+      {"--preload-zipf", "10,500,nan,1"},  // NaN alpha
+      {"--preload-zipf", "10,500,-2,1"},   // negative alpha
+      {"--preload-zipf", "-1,500,1.0,1"},  // negative count
+      {"--attr", "a:nan"},
+      {"--attr", "a:inf"},
+      {"--attr", "a:1e308", "--attr", "b:1e308"},  // the sum overflows
+  };
+  for (const std::vector<std::string>& args : specs) {
+    std::string shown;
+    for (const std::string& a : args) shown += a + " ";
+    const int wstatus = RunToExit(args);
+    EXPECT_FALSE(WIFSIGNALED(wstatus))
+        << shown << "ended by signal " << WTERMSIG(wstatus);
+    EXPECT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 2)
+        << shown << "exit status " << WEXITSTATUS(wstatus);
+  }
 }
 
 TEST(ServeE2eTest, SigtermDrainsCleanly) {

@@ -6,11 +6,12 @@
 // both the single-relation and catalog surfaces, including the planned
 // /query route (SQL parse, plan, execute, render).
 //
-// Response caching is deliberately NOT wired (no epoch source), so every
+// The first test sends every request with Cache-Control: no-cache, so each
 // measured request exercises the full cold render path; the cache hit path
-// has its own pin in response_cache_test.cc.  The client side of the loop
-// is also allocation-free (prebuilt request strings, fixed read buffer) so
-// the counter isolates the serving path without thread bookkeeping.
+// has its own pins below and in response_cache_test.cc.  The client side
+// of the loop is also allocation-free (prebuilt request strings, fixed read
+// buffer) so the counter isolates the serving path without thread
+// bookkeeping.
 
 #include <netinet/in.h>
 #include <poll.h>
@@ -142,6 +143,13 @@ std::string KeepAliveGet(const std::string& target) {
   return "GET " + target + " HTTP/1.1\r\nHost: t\r\n\r\n";
 }
 
+/// A keep-alive GET that bypasses the response cache, so the handler
+/// renders it cold every time.
+std::string ColdGet(const std::string& target) {
+  return "GET " + target +
+         " HTTP/1.1\r\nHost: t\r\nCache-Control: no-cache\r\n\r\n";
+}
+
 /// Parameterized over the IO backend so the allocation-free guarantee is
 /// pinned against both transports: epoll (writev + EPOLLOUT parking) and
 /// io_uring (provided-buffer receives, ring-submitted sends).
@@ -199,8 +207,6 @@ TEST_P(ZeroAllocServing, EveryGetRouteIsAllocationFreeOnceWarm) {
   RegisterServingRoutes(server, engine);
   RegisterCatalogRoutes(server, catalog);
   RegisterQueryRoutes(server, engine, &catalog);
-  // Deliberately no InstallEpochSource: with caching disabled, every
-  // measured request renders cold — the stronger guarantee.
   ASSERT_TRUE(server.Start().ok());
   ASSERT_EQ(server.io_backend(), GetParam());
 
@@ -234,10 +240,13 @@ TEST_P(ZeroAllocServing, EveryGetRouteIsAllocationFreeOnceWarm) {
       "/query?q=SELECT%20APPROX(QUANTILE(0.9))%20FROM%20price"
       "%20WITHIN%202ms%20CONFIDENCE%200.99",
   };
+  // Every request carries Cache-Control: no-cache, so each one renders
+  // cold instead of replaying a cached response — the stronger guarantee
+  // (the cached hit path has its own test below).
   std::vector<std::string> wires;
   wires.reserve(targets.size());
   for (const std::string& target : targets) {
-    wires.push_back(KeepAliveGet(target));
+    wires.push_back(ColdGet(target));
   }
 
   static char buf[kReadBufferBytes];
@@ -273,16 +282,22 @@ TEST_P(ZeroAllocServing, EveryGetRouteIsAllocationFreeOnceWarm) {
                         << " times over " << kMeasuredRounds << " requests";
   }
 
+  // Nothing was answered from the response cache: every cacheable request
+  // above bypassed it and rendered.
+  const HttpServer::ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.cache_hits, 0);
+  EXPECT_GT(stats.cache_bypass, 0);
+
   close(fd);
   server.Shutdown();
 }
 
 TEST_P(ZeroAllocServing, CachedHitPathIsAllocationFreeOnBothBackends) {
-  // With an epoch source installed, cacheable GETs replay from the
-  // ResponseCache once warm.  On epoll a hit is a hash probe + writev from
-  // the cached wire; on io_uring the hit pins the cache entry's shared_ptr
-  // (a refcount bump, not an allocation) and ring-submits the bytes in
-  // place.  Both must be allocation-free per hit.
+  // The query routes' scoped epochs key the ResponseCache, so cacheable
+  // GETs replay from it once warm.  On epoll a hit is a hash probe + writev
+  // from the cached wire; on io_uring the hit pins the cache entry's
+  // shared_ptr (a refcount bump, not an allocation) and ring-submits the
+  // bytes in place.  Both must be allocation-free per hit.
   ServingEngineOptions engine_options;
   engine_options.shards = 2;
   engine_options.cache_max_stale_ops =
@@ -301,7 +316,6 @@ TEST_P(ZeroAllocServing, CachedHitPathIsAllocationFreeOnBothBackends) {
   HttpServer server(server_options);
   RegisterServingRoutes(server, engine);
   RegisterQueryRoutes(server, engine, nullptr);
-  InstallEpochSource(server, engine, nullptr);
   ASSERT_TRUE(server.Start().ok());
   ASSERT_EQ(server.io_backend(), GetParam());
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,26 @@ TEST(CatalogBudgetTest, RejectsZeroAndNegativeWeights) {
   negative.weight = -1.5;
   EXPECT_TRUE(catalog.RegisterAttribute("n", negative).IsInvalidArgument());
   EXPECT_EQ(catalog.attribute_count(), 0u);
+}
+
+TEST(CatalogBudgetTest, RejectsNonFiniteWeightsAndSums) {
+  SynopsisCatalog catalog(10000, 2);
+  AttributeOptions nan;
+  nan.weight = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(catalog.RegisterAttribute("nan", nan).IsInvalidArgument());
+  AttributeOptions inf;
+  inf.weight = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(catalog.RegisterAttribute("inf", inf).IsInvalidArgument());
+  EXPECT_EQ(catalog.attribute_count(), 0u);
+
+  // Each weight is finite, their sum is not: Seal refuses instead of
+  // carving shares out of an infinite total.
+  AttributeOptions huge;
+  huge.weight = 1e308;
+  ASSERT_TRUE(catalog.RegisterAttribute("a", huge).ok());
+  ASSERT_TRUE(catalog.RegisterAttribute("b", huge).ok());
+  EXPECT_TRUE(catalog.Seal().IsInvalidArgument());
+  EXPECT_FALSE(catalog.sealed());
 }
 
 TEST(CatalogBudgetTest, FootprintStaysWithinShareUnderSkewedIngest) {

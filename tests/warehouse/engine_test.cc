@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <span>
 #include <vector>
 
 #include "metrics/hotlist_accuracy.h"
@@ -20,6 +23,22 @@ PlannedResponse Ask(const ApproximateAnswerEngine& engine,
   return response;
 }
 
+/// True when the named synopsis still serves: StateCopy refuses an
+/// invalidated one.
+bool Serves(const ApproximateAnswerEngine& engine, std::string_view name) {
+  return engine.registry().handle(name)->valid();
+}
+
+/// A concise sample's entries in value order.
+std::vector<ValueCount> SortedEntries(const ConciseSample& sample) {
+  std::vector<ValueCount> entries = sample.Entries();
+  std::sort(entries.begin(), entries.end(),
+            [](const ValueCount& a, const ValueCount& b) {
+              return a.value < b.value;
+            });
+  return entries;
+}
+
 EngineOptions AllOn(Words m, std::uint64_t seed) {
   EngineOptions o;
   o.footprint_bound = m;
@@ -30,10 +49,17 @@ EngineOptions AllOn(Words m, std::uint64_t seed) {
 
 TEST(EngineTest, MaintainsConfiguredSynopses) {
   ApproximateAnswerEngine engine(AllOn(100, 1));
-  EXPECT_NE(engine.traditional(), nullptr);
-  EXPECT_NE(engine.concise(), nullptr);
-  EXPECT_NE(engine.counting(), nullptr);
-  EXPECT_EQ(engine.full_histogram(), nullptr);
+  const SynopsisRegistry& registry = engine.registry();
+  EXPECT_TRUE(
+      registry.StateCopy<ReservoirSample>(kTraditionalSynopsisName).ok());
+  EXPECT_TRUE(registry.StateCopy<ConciseSample>(kConciseSynopsisName).ok());
+  EXPECT_TRUE(registry.StateCopy<CountingSample>(kCountingSynopsisName).ok());
+  EXPECT_TRUE(registry.StateCopy<FlajoletMartin>(kDistinctSketchName).ok());
+  EXPECT_EQ(registry.handle(kFullHistogramName), nullptr);
+  EXPECT_EQ(registry.StateCopy<FullHistogram>(kFullHistogramName)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
 }
 
 TEST(EngineTest, ObserveRoutesInserts) {
@@ -41,10 +67,20 @@ TEST(EngineTest, ObserveRoutesInserts) {
   for (Value v : ZipfValues(10000, 100, 1.0, 3)) {
     ASSERT_TRUE(engine.Observe(StreamOp::Insert(v)).ok());
   }
+  const SynopsisRegistry& registry = engine.registry();
   EXPECT_EQ(engine.observed_inserts(), 10000);
-  EXPECT_EQ(engine.traditional()->ObservedInserts(), 10000);
-  EXPECT_EQ(engine.concise()->ObservedInserts(), 10000);
-  EXPECT_EQ(engine.counting()->ObservedInserts(), 10000);
+  EXPECT_EQ(registry.StateCopy<ReservoirSample>(kTraditionalSynopsisName)
+                .ValueOrDie()
+                .ObservedInserts(),
+            10000);
+  EXPECT_EQ(registry.StateCopy<ConciseSample>(kConciseSynopsisName)
+                .ValueOrDie()
+                .ObservedInserts(),
+            10000);
+  EXPECT_EQ(registry.StateCopy<CountingSample>(kCountingSynopsisName)
+                .ValueOrDie()
+                .ObservedInserts(),
+            10000);
 }
 
 TEST(EngineTest, HotListPrefersCountingSample) {
@@ -65,10 +101,18 @@ TEST(EngineTest, DeletionsDropConciseAndTraditional) {
     ASSERT_TRUE(engine.Observe(StreamOp::Insert(7)).ok());
   }
   ASSERT_TRUE(engine.Observe(StreamOp::Delete(7)).ok());
-  EXPECT_EQ(engine.traditional(), nullptr);
-  EXPECT_EQ(engine.concise(), nullptr);
-  ASSERT_NE(engine.counting(), nullptr);
-  EXPECT_EQ(engine.counting()->CountOf(7), 99);
+  const SynopsisRegistry& registry = engine.registry();
+  EXPECT_EQ(registry.StateCopy<ReservoirSample>(kTraditionalSynopsisName)
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(
+      registry.StateCopy<ConciseSample>(kConciseSynopsisName).status().code(),
+      StatusCode::kFailedPrecondition);
+  const Result<CountingSample> counting =
+      registry.StateCopy<CountingSample>(kCountingSynopsisName);
+  ASSERT_TRUE(counting.ok());
+  EXPECT_EQ(counting.ValueOrDie().CountOf(7), 99);
   EXPECT_EQ(engine.observed_deletes(), 1);
   // Hot lists still work, served by the counting sample.
   EXPECT_EQ(Ask(engine, {.kind = QueryKind::kHotList, .k = 1}).method,
@@ -191,15 +235,33 @@ TEST(EngineTest, ObserveBatchMatchesPerOpObserve) {
   for (const StreamOp& op : ops) ASSERT_TRUE(per_op.Observe(op).ok());
   ASSERT_TRUE(batched.ObserveBatch(ops).ok());
 
+  // Neither engine answered a query during ingest, so each state copy is
+  // one drain of identical shards into identical first epochs.
+  const SynopsisRegistry& b = batched.registry();
+  const SynopsisRegistry& p = per_op.registry();
   EXPECT_EQ(batched.observed_inserts(), per_op.observed_inserts());
-  EXPECT_EQ(batched.traditional()->Points(), per_op.traditional()->Points());
-  EXPECT_EQ(batched.concise()->SampleSize(), per_op.concise()->SampleSize());
-  EXPECT_EQ(batched.concise()->Threshold(), per_op.concise()->Threshold());
-  EXPECT_EQ(batched.concise()->Cost().coin_flips,
-            per_op.concise()->Cost().coin_flips);
-  EXPECT_EQ(batched.counting()->Threshold(), per_op.counting()->Threshold());
-  EXPECT_EQ(batched.counting()->CountedOccurrences(),
-            per_op.counting()->CountedOccurrences());
+  const ReservoirSample b_traditional =
+      b.StateCopy<ReservoirSample>(kTraditionalSynopsisName).ValueOrDie();
+  const ReservoirSample p_traditional =
+      p.StateCopy<ReservoirSample>(kTraditionalSynopsisName).ValueOrDie();
+  EXPECT_EQ(b_traditional.Points().size(), 300u);
+  EXPECT_EQ(b_traditional.Points(), p_traditional.Points());
+  const ConciseSample b_concise =
+      b.StateCopy<ConciseSample>(kConciseSynopsisName).ValueOrDie();
+  const ConciseSample p_concise =
+      p.StateCopy<ConciseSample>(kConciseSynopsisName).ValueOrDie();
+  EXPECT_GT(b_concise.Threshold(), 1.0);
+  EXPECT_EQ(b_concise.SampleSize(), p_concise.SampleSize());
+  EXPECT_EQ(b_concise.Threshold(), p_concise.Threshold());
+  EXPECT_EQ(SortedEntries(b_concise), SortedEntries(p_concise));
+  const CountingSample b_counting =
+      b.StateCopy<CountingSample>(kCountingSynopsisName).ValueOrDie();
+  const CountingSample p_counting =
+      p.StateCopy<CountingSample>(kCountingSynopsisName).ValueOrDie();
+  EXPECT_GT(b_counting.Threshold(), 1.0);
+  EXPECT_EQ(b_counting.Threshold(), p_counting.Threshold());
+  EXPECT_EQ(b_counting.CountedOccurrences(), p_counting.CountedOccurrences());
+  EXPECT_EQ(b_counting.Cost().coin_flips, p_counting.Cost().coin_flips);
   const auto response = Ask(batched, {.kind = QueryKind::kHotList, .k = 5});
   EXPECT_EQ(response.method, "full-histogram");
 }
@@ -222,16 +284,29 @@ TEST(EngineTest, ObserveBatchHandlesInterleavedDeletes) {
   EXPECT_EQ(batched.observed_inserts(), per_op.observed_inserts());
   EXPECT_EQ(batched.observed_deletes(), per_op.observed_deletes());
   EXPECT_EQ(batched.observed_deletes(), 50);
-  ASSERT_NE(batched.counting(), nullptr);
+  const CountingSample b_counting =
+      batched.registry()
+          .StateCopy<CountingSample>(kCountingSynopsisName)
+          .ValueOrDie();
+  const CountingSample p_counting =
+      per_op.registry()
+          .StateCopy<CountingSample>(kCountingSynopsisName)
+          .ValueOrDie();
   for (Value v = 0; v < 20; ++v) {
-    EXPECT_EQ(batched.counting()->CountOf(v), per_op.counting()->CountOf(v));
+    EXPECT_EQ(b_counting.CountOf(v), p_counting.CountOf(v));
   }
+  // 50 inserts of each value, minus its deletes (each value is deleted
+  // 2 or 3 times over the 50 rounds); the footprint never forces a raise.
+  EXPECT_EQ(b_counting.Threshold(), 1.0);
+  EXPECT_EQ(b_counting.CountOf(0), 47);
+  EXPECT_EQ(b_counting.CountOf(19), 48);
 }
 
 // Asserts that every piece of engine state the batched path can influence
 // matches the per-op path exactly: invalidation flags (which synopses
 // survived the deletes), insert/delete accounting, counting-sample state,
-// and the deterministic distinct sketch.
+// and the deterministic distinct sketch.  The state is read through
+// StateCopy, which publishes an epoch holding every op.
 void ExpectEnginesIdentical(const ApproximateAnswerEngine& batched,
                             const ApproximateAnswerEngine& per_op,
                             Value domain) {
@@ -240,28 +315,35 @@ void ExpectEnginesIdentical(const ApproximateAnswerEngine& batched,
   // Invalidation flags: a delete anywhere in the stream must drop the
   // concise and traditional samples on *both* paths — run-splitting must
   // not let the batched path keep a uniform sample the per-op path lost.
-  EXPECT_EQ(batched.traditional() == nullptr,
-            per_op.traditional() == nullptr);
-  EXPECT_EQ(batched.concise() == nullptr, per_op.concise() == nullptr);
-  ASSERT_EQ(batched.counting() == nullptr, per_op.counting() == nullptr);
-  if (batched.counting() != nullptr) {
-    EXPECT_EQ(batched.counting()->Threshold(),
-              per_op.counting()->Threshold());
-    EXPECT_EQ(batched.counting()->CountedOccurrences(),
-              per_op.counting()->CountedOccurrences());
-    EXPECT_EQ(batched.counting()->ObservedInserts(),
-              per_op.counting()->ObservedInserts());
-    for (Value v = 0; v <= domain; ++v) {
-      EXPECT_EQ(batched.counting()->CountOf(v), per_op.counting()->CountOf(v))
-          << "value " << v;
-    }
+  EXPECT_EQ(Serves(batched, kTraditionalSynopsisName),
+            Serves(per_op, kTraditionalSynopsisName));
+  EXPECT_EQ(Serves(batched, kConciseSynopsisName),
+            Serves(per_op, kConciseSynopsisName));
+  // The counting sample applies deletes and the sketch ignores them, so
+  // both always serve.
+  const Result<CountingSample> b_counting =
+      batched.registry().StateCopy<CountingSample>(kCountingSynopsisName);
+  const Result<CountingSample> p_counting =
+      per_op.registry().StateCopy<CountingSample>(kCountingSynopsisName);
+  ASSERT_TRUE(b_counting.ok() && p_counting.ok());
+  const CountingSample& b = b_counting.ValueOrDie();
+  const CountingSample& p = p_counting.ValueOrDie();
+  EXPECT_EQ(b.Threshold(), p.Threshold());
+  EXPECT_EQ(b.CountedOccurrences(), p.CountedOccurrences());
+  EXPECT_GT(b.CountedOccurrences(), 0);
+  EXPECT_EQ(b.ObservedInserts(), p.ObservedInserts());
+  EXPECT_EQ(b.ObservedInserts(), batched.observed_inserts());
+  for (Value v = 0; v <= domain; ++v) {
+    EXPECT_EQ(b.CountOf(v), p.CountOf(v)) << "value " << v;
   }
-  ASSERT_EQ(batched.distinct_sketch() == nullptr,
-            per_op.distinct_sketch() == nullptr);
-  if (batched.distinct_sketch() != nullptr) {
-    EXPECT_DOUBLE_EQ(batched.distinct_sketch()->Estimate(),
-                     per_op.distinct_sketch()->Estimate());
-  }
+  const Result<FlajoletMartin> b_sketch =
+      batched.registry().StateCopy<FlajoletMartin>(kDistinctSketchName);
+  const Result<FlajoletMartin> p_sketch =
+      per_op.registry().StateCopy<FlajoletMartin>(kDistinctSketchName);
+  ASSERT_TRUE(b_sketch.ok() && p_sketch.ok());
+  EXPECT_GT(b_sketch.ValueOrDie().Estimate(), 0.0);
+  EXPECT_DOUBLE_EQ(b_sketch.ValueOrDie().Estimate(),
+                   p_sketch.ValueOrDie().Estimate());
 }
 
 TEST(EngineTest, ObserveBatchInvalidationMatchesPerOp) {
@@ -284,8 +366,8 @@ TEST(EngineTest, ObserveBatchInvalidationMatchesPerOp) {
   ASSERT_TRUE(batched.ObserveBatch(ops).ok());
 
   ExpectEnginesIdentical(batched, per_op, 50);
-  EXPECT_EQ(batched.traditional(), nullptr);
-  EXPECT_EQ(batched.concise(), nullptr);
+  EXPECT_FALSE(Serves(batched, kTraditionalSynopsisName));
+  EXPECT_FALSE(Serves(batched, kConciseSynopsisName));
   // Both engines answer hot lists the same way after invalidation.
   EXPECT_EQ(Ask(batched, {.kind = QueryKind::kHotList, .k = 5}).method,
             "counting-sample");
@@ -345,6 +427,111 @@ TEST(EngineTest, ObserveBatchPropagatesDeleteErrors) {
   EXPECT_FALSE(engine.ObserveBatch(ops).ok());
   // The insert run before the failing delete was applied.
   EXPECT_EQ(engine.observed_inserts(), 1);
+}
+
+TEST(EngineTest, InsertIsVisibleToTheNextUnboundedQuery) {
+  // No settle anywhere: the default staleness bounds publish every op at
+  // the next query's pin, so each answer reflects the insert just before
+  // it, through the same epochs and frozen views the server reads.
+  ApproximateAnswerEngine engine(AllOn(1000, 50));
+  for (Value v : UniformValues(5000, 100, 51)) {
+    ASSERT_TRUE(engine.Observe(StreamOp::Insert(v)).ok());
+  }
+  constexpr Value kNew = 424242;
+  const PlannedQuery frequency = {.kind = QueryKind::kFrequency,
+                                  .value = kNew};
+  const PlannedResponse unseen = Ask(engine, frequency);
+  EXPECT_EQ(unseen.method, "counting-sample");
+  EXPECT_EQ(unseen.estimate.value, 0.0);
+
+  ASSERT_TRUE(engine.Observe(StreamOp::Insert(kNew)).ok());
+  const PlannedResponse seen = Ask(engine, frequency);
+  EXPECT_EQ(seen.method, "counting-sample");
+  EXPECT_GT(seen.estimate.value, 0.0);
+
+  // 100 values, 50 occurrences each: 500 more of kNew put it on top of
+  // the very next hot list.
+  const PlannedQuery top = {.kind = QueryKind::kHotList, .k = 1};
+  ASSERT_FALSE(Ask(engine, top).hotlist.empty());
+  EXPECT_NE(Ask(engine, top).hotlist.front().value, kNew);
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(engine.Observe(StreamOp::Insert(kNew)).ok());
+  }
+  const PlannedResponse hot = Ask(engine, top);
+  ASSERT_FALSE(hot.hotlist.empty());
+  EXPECT_EQ(hot.hotlist.front().value, kNew);
+
+  // 5000 fresh values: the next distinct estimate moves from ~100 to
+  // ~5100.
+  const PlannedQuery distinct = {.kind = QueryKind::kDistinct};
+  const double before = Ask(engine, distinct).estimate.value;
+  EXPECT_LT(before, 500.0);
+  for (Value v = 1000000; v < 1005000; ++v) {
+    ASSERT_TRUE(engine.Observe(StreamOp::Insert(v)).ok());
+  }
+  const PlannedResponse after = Ask(engine, distinct);
+  EXPECT_EQ(after.method, "fm-sketch");
+  EXPECT_GT(after.estimate.value, 2500.0);
+}
+
+TEST(EngineTest, SettleCachesPublishesTheEpochPredictionsRead) {
+  // Predictions read the published epoch and never refresh it, so bounded
+  // planning follows an explicit SettleCaches().  In the exact regime
+  // (footprint 1000 over 400 values, τ = 1) the concise sample keeps every
+  // point, so each settle publishes a larger sample and a smaller
+  // predicted error.
+  ApproximateAnswerEngine engine(AllOn(1000, 52));
+  const SynopsisRegistry& registry = engine.registry();
+  const SynopsisHandle* concise = registry.handle(kConciseSynopsisName);
+  ASSERT_NE(concise, nullptr);
+  const std::vector<Value> stream = UniformValues(8000, 400, 53);
+  const auto observe = [&engine](std::span<const Value> values) {
+    for (Value v : values) {
+      ASSERT_TRUE(engine.Observe(StreamOp::Insert(v)).ok());
+    }
+  };
+  const std::span<const Value> all(stream);
+  observe(all.first(2000));
+  const QueryContext ctx{registry.observed_inserts()};
+  QueryBound bound;
+  bound.max_error = 0.5;
+
+  // Nothing published yet: no prediction, and no bounded plan meets the
+  // bound.
+  EXPECT_TRUE(std::isinf(
+      concise->PredictedError(QueryKind::kCountWhere, ctx, 0.95)));
+  EXPECT_FALSE(PlanQuery(registry, QueryKind::kCountWhere, bound, ctx)
+                   .meets_error);
+
+  registry.SettleCaches();
+  const double first =
+      concise->PredictedError(QueryKind::kCountWhere, ctx, 0.95);
+  ASSERT_TRUE(std::isfinite(first));
+  const PlanChoice settled =
+      PlanQuery(registry, QueryKind::kCountWhere, bound, ctx);
+  ASSERT_NE(settled.handle, nullptr);
+  EXPECT_TRUE(settled.meets_error);
+  EXPECT_TRUE(std::isfinite(settled.predicted_error));
+
+  // More ops without a settle: the prediction still reads the old epoch.
+  observe(all.subspan(2000));
+  EXPECT_EQ(concise->PredictedError(QueryKind::kCountWhere, ctx, 0.95),
+            first);
+  EXPECT_TRUE(concise->CacheIsStale());
+
+  // The settle publishes them: 4x the points, half the predicted error.
+  registry.SettleCaches();
+  EXPECT_FALSE(concise->CacheIsStale());
+  const double second =
+      concise->PredictedError(QueryKind::kCountWhere, ctx, 0.95);
+  EXPECT_DOUBLE_EQ(second, first / 2.0);
+  const PlanChoice current =
+      PlanQuery(registry, QueryKind::kCountWhere, bound, ctx);
+  ASSERT_EQ(current.handle, settled.handle);
+  EXPECT_DOUBLE_EQ(current.predicted_error,
+                   current.handle->PredictedError(QueryKind::kCountWhere,
+                                                  ctx, 0.95));
+  EXPECT_LT(current.predicted_error, settled.predicted_error);
 }
 
 TEST(EngineTest, NoSynopsesConfigured) {
