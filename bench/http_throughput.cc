@@ -1,29 +1,24 @@
-// HTTP serving throughput across the multi-reactor read path, measured
-// head-to-head under both IO backends (epoll vs io_uring).
+// HTTP serving throughput across the multi-reactor read path.
 //
 // Default mode spins up in-process HttpServers and measures each scenario
-// over real loopback sockets with keep-alive clients, once per backend
-// (scenario names are suffixed _epoll / _io_uring; the io_uring leg is
-// skipped with a note when the kernel lacks support):
+// over real loopback sockets with keep-alive clients:
 //
 //   cache_hit_micro   ResponseCache BuildKey+Lookup alone (no sockets),
 //                     with an allocation counter proving the warmed hit
 //                     path is allocation-free (allocs_per_hit metric),
-//   uncached_r1_*     1 reactor, the route without a scoped epoch —
+//   uncached_r1       1 reactor, the route without a scoped epoch —
 //                     every request renders,
-//   cached_r1_*       1 reactor, same route, settled epoch — steady-state
+//   cached_r1         1 reactor, same route, settled epoch — steady-state
 //                     hits replaying stored wire bytes,
-//   cached_wide_*     N reactors (min(8, hardware)), same cached load from
+//   cached_wide       N reactors (min(8, hardware)), same cached load from
 //                     N client threads — the aggregate-rps scaling number
 //                     (honest caveat: on a 1-core container this measures
 //                     scheduling overhead, not parallel speedup).
 //
 // Each server scenario also reports the transport cost per request from
-// the server's own IO counters: syscalls_per_request (enter/epoll_wait +
+// the server's own IO counters: syscalls_per_request (epoll_wait +
 // accept/read/write calls over served requests) and the zero-copy vs
-// copied send split — the numbers behind the io_uring wire-path claim.
-//
-// --io-backend {epoll,io_uring} restricts the run to one backend.
+// copied send split.
 //
 // With --port P the binary instead drives an EXISTING server at
 // 127.0.0.1:P (the CI serve-under-load smoke): keep-alive GET load across
@@ -32,8 +27,7 @@
 // sends only inline reads, so every 5xx is a bug.
 //
 // --smoke shrinks request counts to CI size; --json <path> archives the
-// metrics (BENCH_5.json for the epoll-era run, BENCH_8.json for the
-// epoll-vs-io_uring comparison).
+// metrics (BENCH_5.json, BENCH_8.json).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -57,7 +51,6 @@
 #include "bench/bench_util.h"
 #include "bench/http_client.h"
 #include "server/http.h"
-#include "server/io_backend.h"
 #include "server/response_cache.h"
 #include "server/server.h"
 
@@ -127,15 +120,12 @@ void CacheHitMicro(BenchReport* report) {
 }
 
 /// One in-process server scenario: a cacheable JSON route under keep-alive
-/// GET load.  `settled_epoch` toggles whether the response cache engages;
-/// `backend` selects the reactor IO backend under test.
-void ServerScenario(const std::string& name, IoBackendKind backend,
-                    int reactors, int threads, bool settled_epoch,
-                    BenchReport* report) {
+/// GET load.  `settled_epoch` toggles whether the response cache engages.
+void ServerScenario(const std::string& name, int reactors, int threads,
+                    bool settled_epoch, BenchReport* report) {
   HttpServerOptions options;
   options.reactors = reactors;
   options.workers = 1;
-  options.io_backend = backend;
   HttpServer server(options);
   RouteOptions cacheable;
   if (settled_epoch) {
@@ -167,14 +157,6 @@ void ServerScenario(const std::string& name, IoBackendKind backend,
     std::fprintf(stderr, "%s: server failed to start\n", name.c_str());
     return;
   }
-  if (server.io_backend() != backend) {
-    // The probe passed at selection time, so a fallback here is news.
-    std::fprintf(stderr, "%s: fell back to %s, skipping scenario\n",
-                 name.c_str(),
-                 std::string(IoBackendKindName(server.io_backend())).c_str());
-    server.Shutdown();
-    return;
-  }
 
   const int per_thread = SmokeMode() ? 200 : 8000;
   const LoadResult load =
@@ -183,7 +165,7 @@ void ServerScenario(const std::string& name, IoBackendKind backend,
 
   const LatencySummary summary = Summarize(load.samples_ns, load.elapsed_s);
   // Stats() after Shutdown: the IO counters are aggregated from the
-  // backends, which outlive their reactor threads.
+  // reactors' transports, which outlive their threads.
   const HttpServer::ServerStats stats = server.Stats();
   const double requests = stats.requests > 0
                               ? static_cast<double>(stats.requests)
@@ -377,58 +359,28 @@ int main(int argc, char** argv) {
   BenchReport report("http_throughput");
 
   std::uint16_t external_port = 0;
-  bool backend_restricted = false;
-  aqua::IoBackendKind only_backend = aqua::IoBackendKind::kEpoll;
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--port") == 0) {
       external_port = static_cast<std::uint16_t>(std::atoi(argv[i + 1]));
-    } else if (std::strcmp(argv[i], "--io-backend") == 0) {
-      if (!aqua::ParseIoBackendKind(argv[i + 1], &only_backend)) {
-        std::fprintf(stderr, "unknown --io-backend '%s'\n", argv[i + 1]);
-        return 1;
-      }
-      backend_restricted = true;
     }
   }
   if (external_port != 0) {
     return DriveExternal(external_port, &report, json_path);
   }
 
-  PrintHeader(
-      "HTTP serving throughput (multi-reactor + response cache, "
-      "epoll vs io_uring)");
+  PrintHeader("HTTP serving throughput (multi-reactor + response cache)");
   CacheHitMicro(&report);
-
-  std::vector<aqua::IoBackendKind> backends;
-  if (backend_restricted) {
-    backends.push_back(only_backend);
-  } else {
-    backends.push_back(aqua::IoBackendKind::kEpoll);
-    backends.push_back(aqua::IoBackendKind::kIoUring);
-  }
 
   const unsigned hw = std::thread::hardware_concurrency();
   const int wide = static_cast<int>(hw == 0 ? 2 : (hw < 8 ? hw : 8));
-  for (const aqua::IoBackendKind backend : backends) {
-    if (backend == aqua::IoBackendKind::kIoUring) {
-      std::string reason;
-      if (!aqua::IoUringAvailable(&reason)) {
-        std::printf("io_uring unavailable (%s), skipping io_uring leg\n",
-                    reason.c_str());
-        continue;
-      }
-    }
-    const std::string suffix =
-        "_" + std::string(aqua::IoBackendKindName(backend));
-    ServerScenario("uncached_r1" + suffix, backend, /*reactors=*/1,
-                   /*threads=*/2, /*settled_epoch=*/false, &report);
-    ServerScenario("cached_r1" + suffix, backend, /*reactors=*/1,
-                   /*threads=*/2, /*settled_epoch=*/true, &report);
-    // Stable scenario name across machines; the reactor count rides along
-    // as a metric (reactors = min(8, hardware_concurrency)).
-    ServerScenario("cached_wide" + suffix, backend, wide, /*threads=*/wide,
-                   /*settled_epoch=*/true, &report);
-  }
+  ServerScenario("uncached_r1", /*reactors=*/1, /*threads=*/2,
+                 /*settled_epoch=*/false, &report);
+  ServerScenario("cached_r1", /*reactors=*/1, /*threads=*/2,
+                 /*settled_epoch=*/true, &report);
+  // Stable scenario name across machines; the reactor count rides along
+  // as a metric (reactors = min(8, hardware_concurrency)).
+  ServerScenario("cached_wide", wide, /*threads=*/wide, /*settled_epoch=*/true,
+                 &report);
 
   if (!report.WriteJson(json_path)) return 1;
   return 0;

@@ -119,9 +119,6 @@ void Usage(const char* argv0) {
       "                       response cache (default 1)\n"
       "  --workers N          handler threads for mutating routes "
       "(default 4)\n"
-      "  --io-backend B       reactor IO backend: epoll | io_uring\n"
-      "                       (default epoll; io_uring falls back to epoll\n"
-      "                       with a warning when the kernel lacks support)\n"
       "  --pin-cores          pin reactor i to CPU i (mod online cores)\n"
       "  --queue-capacity N   bounded request queue (default 256)\n"
       "  --shards N           ingest shards for the concise and "
@@ -192,11 +189,6 @@ bool ParseFlags(int argc, char** argv, ServeFlags* flags) {
       const char* v = next();
       if (v == nullptr || !ParseInt64(v, &n) || n < 1) return false;
       flags->http.workers = static_cast<int>(n);
-    } else if (arg == "--io-backend") {
-      const char* v = next();
-      if (v == nullptr || !ParseIoBackendKind(v, &flags->http.io_backend)) {
-        return false;
-      }
     } else if (arg == "--pin-cores") {
       flags->http.pin_reactors = true;
     } else if (arg == "--queue-capacity") {
@@ -422,25 +414,8 @@ int ServeMain(int argc, char** argv) {
                  recovered.pending ? 1 : 0);
   }
 
-  if (flags.preload_n > 0) {
-    const std::vector<Value> values =
-        ZipfValues(flags.preload_n, flags.preload_domain, flags.preload_alpha,
-                   flags.preload_seed);
-    if (replicator != nullptr) {
-      const Status status = replicator->Ingest(values);
-      if (!status.ok()) {
-        std::fprintf(stderr, "preload failed: %s\n",
-                     std::string(status.message()).c_str());
-        return 1;
-      }
-    } else {
-      engine.InsertBatch(values);
-    }
-    std::fprintf(stderr, "preloaded %lld Zipf(%.2f) values over [1, %lld]\n",
-                 static_cast<long long>(flags.preload_n), flags.preload_alpha,
-                 static_cast<long long>(flags.preload_domain));
-  }
-
+  // The catalog is validated and sealed before the preload, so a bad
+  // --attr set exits without first ingesting the whole preload.
   std::unique_ptr<SynopsisCatalog> catalog;
   if (!flags.attrs.empty()) {
     CatalogOptions catalog_options;
@@ -471,6 +446,25 @@ int ServeMain(int argc, char** argv) {
                  "catalog: %zu attributes under a %lld-word budget\n",
                  catalog->attribute_count(),
                  static_cast<long long>(catalog->budget()));
+  }
+
+  if (flags.preload_n > 0) {
+    const std::vector<Value> values =
+        ZipfValues(flags.preload_n, flags.preload_domain, flags.preload_alpha,
+                   flags.preload_seed);
+    if (replicator != nullptr) {
+      const Status status = replicator->Ingest(values);
+      if (!status.ok()) {
+        std::fprintf(stderr, "preload failed: %s\n",
+                     std::string(status.message()).c_str());
+        return 1;
+      }
+    } else {
+      engine.InsertBatch(values);
+    }
+    std::fprintf(stderr, "preloaded %lld Zipf(%.2f) values over [1, %lld]\n",
+                 static_cast<long long>(flags.preload_n), flags.preload_alpha,
+                 static_cast<long long>(flags.preload_domain));
   }
 
   // The pump owns one refresh domain per registry: the engine's, plus

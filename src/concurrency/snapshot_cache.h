@@ -76,6 +76,9 @@ struct SnapshotCacheStats {
 ///  - wall-interval: once `max_stale_interval` elapses since the last
 ///    refresh, the next Get() re-merges (covers idle-ingest streams where
 ///    a trickle of ops would otherwise never trip the ops bound).
+/// After the first epoch, either needs at least one op since the last
+/// refresh: every state change reports through OnOps, so with none the
+/// next epoch would be a copy of the current one.
 ///
 /// Refresh happens *inline in at most one query thread at a time*: the
 /// first Get() to observe staleness takes the refresh mutex and re-merges;
@@ -229,14 +232,15 @@ class SnapshotCache {
   /// protocol (the steady clock never reads as this value).
   static constexpr std::int64_t kClockUnread = -1;
 
-  /// IsStale with a caller-scoped clock cache: the ops bound is checked
-  /// first and short-circuits without touching the clock; the interval
-  /// bound reads NowNs() only once per *now — repeated calls within one
-  /// Get() reuse the first reading.
+  /// IsStale with a caller-scoped clock cache: the ops count is checked
+  /// first and short-circuits without touching the clock (no op since a
+  /// published epoch: fresh; ops bound reached: stale); the interval bound
+  /// reads NowNs() only once per *now — repeated calls within one Get()
+  /// reuse the first reading.
   bool IsStaleAt(std::int64_t* now) const {
-    if (options_.max_stale_ops > 0 &&
-        ops_since_refresh_.load(std::memory_order_relaxed) >=
-            options_.max_stale_ops) {
+    const std::int64_t ops = ops_since_refresh_.load(std::memory_order_relaxed);
+    if (ops == 0 && epoch_.load(std::memory_order_relaxed) > 0) return false;
+    if (options_.max_stale_ops > 0 && ops >= options_.max_stale_ops) {
       return true;
     }
     if (options_.max_stale_interval > std::chrono::nanoseconds::zero()) {

@@ -1,34 +1,26 @@
-// The reactor's readiness/IO surface, extracted so one HTTP serving core
-// can run over two transports: the classic epoll readiness loop and an
-// io_uring completion ring (raw syscalls, no liburing).  See DESIGN.md §14.
+// The reactor's transport: a level-triggered epoll loop that does the
+// accept4()/read()/writev() calls itself and reports what happened through
+// a callback interface, so the HTTP serving core never reads or writes a
+// socket on the reactor thread.  See DESIGN.md §14.
 //
-// The interface is completion-style — the server asks the backend to
-// accept, receive and send, and the backend reports what finished — because
-// that is the shape io_uring natively has; the epoll backend emulates it by
-// doing the read()/writev() calls itself at readiness time.  All calls and
-// callbacks happen on the owning reactor thread (backends are single-issuer
-// by construction); only GetStats() may be called from other threads.
+// The core asks the transport to accept, receive and send; the transport
+// calls back when a connection arrives, bytes arrive, a parked send drains
+// or fails, or the wake fd fires.  All calls and callbacks happen on the
+// owning reactor thread; only GetStats() may be called from other threads.
 #ifndef AQUA_SERVER_IO_BACKEND_H_
 #define AQUA_SERVER_IO_BACKEND_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 
 namespace aqua {
-
-/// Which transport a reactor runs on.
-enum class IoBackendKind {
-  kEpoll,
-  kIoUring,
-};
-
-/// Parses "epoll" / "io_uring"; returns false on anything else.
-bool ParseIoBackendKind(std::string_view name, IoBackendKind* kind);
-std::string_view IoBackendKindName(IoBackendKind kind);
 
 /// One reactor's transport.  Lifecycle: Init() once, Poll() in a loop,
 /// Shutdown() after the loop exits.  Connections are registered with Add()
@@ -65,28 +57,27 @@ class IoBackend {
   enum class SendResult {
     /// Every byte was written; the connection is idle again.
     kDone,
-    /// Bytes remain in flight (parked tail or queued submission); the
-    /// backend owns finishing them and will fire OnSendDrained/OnSendError.
-    /// The core must not Send() again on this connection until drained.
+    /// Bytes remain parked on the connection; the backend owns finishing
+    /// them and will fire OnSendDrained/OnSendError.  The core must not
+    /// Send() again on this connection until drained.
     kPending,
     /// The connection is dead (write error); the core should Close().
     kError,
   };
 
   /// Transport counters, aggregated into /stats and the bench reports so
-  /// the zero-copy / zero-syscall claims are measured numbers.  Relaxed
+  /// the zero-copy and syscall claims are measured numbers.  Relaxed
   /// atomics underneath; safe to read from any thread.
   struct Stats {
     /// Every syscall the backend issued (epoll_wait/ctl, accept4, read,
-    /// write, writev, eventfd reads, io_uring_enter, ...).
+    /// write, writev, eventfd reads, ...).
     std::int64_t syscalls = 0;
     /// Send() calls whose bytes left user space without any intermediate
     /// user-space copy (written straight from the caller's buffers, or
-    /// submitted to the ring pinned in place).
+    /// parked in place inside a pinned cache entry).
     std::int64_t zero_copy_sends = 0;
-    /// Send() calls that copied some tail into backend-owned storage
-    /// before the bytes could leave (parked slow-reader tails, volatile
-    /// scratch submitted to the ring).
+    /// Send() calls that copied an unsent tail of volatile scratch into
+    /// backend-owned storage (parked slow-reader tails).
     std::int64_t copied_sends = 0;
     /// Bytes that went through such a copy.
     std::int64_t copied_bytes = 0;
@@ -94,75 +85,90 @@ class IoBackend {
     std::int64_t bytes_received = 0;
   };
 
-  virtual ~IoBackend() = default;
+  IoBackend() = default;
+  ~IoBackend();
+
+  IoBackend(const IoBackend&) = delete;
+  IoBackend& operator=(const IoBackend&) = delete;
 
   /// Takes the reactor's listener and wake eventfd (both owned by the
-  /// caller) and builds the transport (epoll instance / io_uring ring).
-  virtual Status Init(int listen_fd, int wake_fd, Events* events) = 0;
+  /// caller) and creates the epoll instance.
+  Status Init(int listen_fd, int wake_fd, Events* events);
 
-  /// Runs one loop iteration: waits up to timeout_ms for completions and
-  /// dispatches them into Events.  Returns a non-OK status only for
+  /// Runs one loop iteration: waits up to timeout_ms for readiness and
+  /// dispatches it into Events.  Returns a non-OK status only for
   /// unrecoverable transport failures (the reactor exits).
-  virtual Status Poll(int timeout_ms) = 0;
+  Status Poll(int timeout_ms);
 
   /// Registers an accepted connection and arms its receive path.  Returns
   /// an opaque handle for Send/Suspend/Resume/Close, or nullptr on failure
   /// (the caller closes fd itself).
-  virtual void* Add(int fd, void* token) = 0;
+  void* Add(int fd, void* token);
 
   /// Stops receive delivery for a connection (worker handoff, send
   /// backpressure).  Idempotent.
-  virtual void SuspendRecv(void* handle) = 0;
+  void SuspendRecv(void* handle);
   /// Re-arms the receive path after SuspendRecv.  Idempotent.
-  virtual void ResumeRecv(void* handle) = 0;
+  void ResumeRecv(void* handle);
 
   /// Writes head then body on the connection, never blocking the reactor:
-  /// whatever cannot be written now is finished asynchronously (kPending).
-  /// `pin`, when non-null, keeps the underlying buffer alive until the
-  /// send completes — the cached-response path passes the cache entry so
-  /// its bytes go to the socket with no copy even if the epoch advances
-  /// mid-send.  Without a pin the buffers are treated as volatile (reactor
-  /// scratch): any unsent tail is copied into backend-owned storage before
-  /// Send returns.
-  virtual SendResult Send(void* handle, std::string_view head,
-                          std::string_view body,
-                          const std::shared_ptr<const std::string>* pin) = 0;
+  /// whatever the socket cannot take now is parked and finished when it
+  /// becomes writable (kPending).  `pin`, when non-null, keeps the
+  /// underlying buffer alive until the send completes — the cached-response
+  /// path passes the cache entry so a parked tail stays in place with no
+  /// copy even if the epoch advances mid-send.  Without a pin the buffers
+  /// are treated as volatile (reactor scratch): any unsent tail is copied
+  /// into backend-owned storage before Send returns.
+  SendResult Send(void* handle, std::string_view head, std::string_view body,
+                  const std::shared_ptr<const std::string>* pin);
 
   /// True while a kPending send has not yet drained.
-  virtual bool HasPendingSend(const void* handle) const = 0;
+  bool HasPendingSend(const void* handle) const;
 
   /// Stops accepting new connections (graceful drain).
-  virtual void StopAccepting() = 0;
+  void StopAccepting();
 
   /// Closes the connection's fd and releases the handle.  No Events
   /// callback fires for this connection afterwards.  The token may be
   /// freed by the caller immediately after this returns.
-  virtual void Close(void* handle) = 0;
+  void Close(void* handle);
 
-  /// Releases the transport (after the reactor loop exited).
-  virtual void Shutdown() = 0;
+  /// Releases the epoll instance (after the reactor loop exited).
+  void Shutdown();
 
-  virtual IoBackendKind kind() const = 0;
-  virtual Stats GetStats() const = 0;
+  Stats GetStats() const;
+
+ private:
+  struct Conn;
+
+  void CountSyscall() { syscalls_.fetch_add(1, std::memory_order_relaxed); }
+  bool SyncMask(Conn* conn);
+  void HandleAccept();
+  void HandleWake();
+  void HandleReadable(Conn* conn);
+  void ParkTail(Conn* conn, std::string_view head, std::string_view body,
+                std::size_t written,
+                const std::shared_ptr<const std::string>* pin);
+  void FlushParked(Conn* conn);
+  void ReapClosed();
+
+  int epoll_fd_ = -1;
+  int listen_fd_ = -1;
+  int wake_fd_ = -1;
+  bool accepting_ = true;
+  Events* events_ = nullptr;
+  // Distinct addresses used as epoll_event.data.ptr sentinels.
+  int listen_tag_ = 0;
+  int wake_tag_ = 0;
+  std::vector<Conn*> closed_;
+
+  std::atomic<std::int64_t> syscalls_{0};
+  std::atomic<std::int64_t> zero_copy_sends_{0};
+  std::atomic<std::int64_t> copied_sends_{0};
+  std::atomic<std::int64_t> copied_bytes_{0};
+  std::atomic<std::int64_t> bytes_sent_{0};
+  std::atomic<std::int64_t> bytes_received_{0};
 };
-
-/// Builds an epoll backend (always available).
-std::unique_ptr<IoBackend> MakeEpollBackend();
-
-/// True when this kernel supports everything the io_uring backend needs
-/// (io_uring_setup + send/recv/accept opcodes + provided-buffer rings +
-/// EXT_ARG timeouts) and the build carried AQUA_WITH_IOURING.  On false,
-/// *reason (optional) names what was missing.
-bool IoUringAvailable(std::string* reason);
-
-/// Builds an io_uring backend; call only when IoUringAvailable().
-std::unique_ptr<IoBackend> MakeIoUringBackend();
-
-/// Resolves the requested kind against what the host supports: io_uring
-/// falls back to epoll with a warning on stderr when unavailable.
-/// Returns the kind actually built.
-std::unique_ptr<IoBackend> MakeIoBackend(IoBackendKind requested,
-                                         IoBackendKind* actual);
 
 }  // namespace aqua
 

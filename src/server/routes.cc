@@ -345,7 +345,6 @@ void RegisterServingRoutes(HttpServer& server, ServingEngine& engine,
         w.Key("cache_bypass").Int(http.cache_bypass);
         w.Key("cache_invalidations").Int(http.cache_invalidations);
         w.Key("cache_stale_evictions").Int(http.cache_stale_evictions);
-        w.Key("io_backend").String(http.io_backend);
         w.Key("reactors_pinned").Int(http.reactors_pinned);
         w.Key("io").BeginObject();
         w.Key("syscalls").Int(http.io.syscalls);

@@ -79,10 +79,8 @@ HttpServer::~HttpServer() {
 void HttpServer::Route(std::string method, std::string path, Handler handler,
                        RouteOptions route_options) {
   RouteEntry entry;
-  entry.run_inline =
-      route_options.dispatch == RouteOptions::Dispatch::kInline ||
-      (route_options.dispatch == RouteOptions::Dispatch::kAuto &&
-       method == "GET");
+  entry.run_inline = route_options.dispatch == RouteOptions::Dispatch::kAuto &&
+                     method == "GET";
   entry.method = std::move(method);
   entry.path = std::move(path);
   entry.handler = std::move(handler);
@@ -95,10 +93,8 @@ void HttpServer::Route(std::string method, std::string path, Handler handler,
 void HttpServer::RoutePrefix(std::string method, std::string prefix,
                              Handler handler, RouteOptions route_options) {
   RouteEntry entry;
-  entry.run_inline =
-      route_options.dispatch == RouteOptions::Dispatch::kInline ||
-      (route_options.dispatch == RouteOptions::Dispatch::kAuto &&
-       method == "GET");
+  entry.run_inline = route_options.dispatch == RouteOptions::Dispatch::kAuto &&
+                     method == "GET";
   entry.method = std::move(method);
   entry.path = std::move(prefix);
   entry.handler = std::move(handler);
@@ -185,29 +181,11 @@ Status HttpServer::StartListener(Reactor& reactor) {
 }
 
 Status HttpServer::Start() {
-  // Resolve the transport once: every reactor runs the same backend, and
-  // an io_uring request on a kernel (or build) without support falls back
-  // to epoll with a single logged warning.
-  io_backend_actual_ = options_.io_backend;
-  if (io_backend_actual_ == IoBackendKind::kIoUring) {
-    std::string reason;
-    if (!IoUringAvailable(&reason)) {
-      std::fprintf(stderr,
-                   "aqua: io_uring backend unavailable (%s); "
-                   "falling back to epoll\n",
-                   reason.c_str());
-      io_backend_actual_ = IoBackendKind::kEpoll;
-    }
-  }
-
   reactors_.reserve(static_cast<std::size_t>(options_.reactors));
   for (int i = 0; i < options_.reactors; ++i) {
     auto reactor = std::make_unique<Reactor>(options_.cache);
     reactor->server = this;
     reactor->index = static_cast<std::size_t>(i);
-    reactor->backend = io_backend_actual_ == IoBackendKind::kIoUring
-                           ? MakeIoUringBackend()
-                           : MakeEpollBackend();
     Status status = StartListener(*reactor);
     if (!status.ok()) return status;
     reactors_.push_back(std::move(reactor));
@@ -274,7 +252,6 @@ HttpServer::ServerStats HttpServer::Stats() const {
   stats.responses_503 = responses_503_.load(std::memory_order_relaxed);
   stats.bad_requests = bad_requests_.load(std::memory_order_relaxed);
   stats.reactors = reactors_.size();
-  stats.io_backend = IoBackendKindName(io_backend_actual_);
   for (const auto& reactor : reactors_) {
     const ResponseCache::Stats cache = reactor->cache.GetStats();
     stats.cache_hits += cache.hits;
@@ -285,17 +262,13 @@ HttpServer::ServerStats HttpServer::Stats() const {
     if (reactor->pinned_cpu.load(std::memory_order_relaxed) >= 0) {
       ++stats.reactors_pinned;
     }
-    // rearm_mutex also guards the rare in-thread backend fallback swap.
-    std::lock_guard<std::mutex> lock(reactor->rearm_mutex);
-    if (reactor->backend != nullptr) {
-      const IoBackend::Stats io = reactor->backend->GetStats();
-      stats.io.syscalls += io.syscalls;
-      stats.io.zero_copy_sends += io.zero_copy_sends;
-      stats.io.copied_sends += io.copied_sends;
-      stats.io.copied_bytes += io.copied_bytes;
-      stats.io.bytes_sent += io.bytes_sent;
-      stats.io.bytes_received += io.bytes_received;
-    }
+    const IoBackend::Stats io = reactor->backend.GetStats();
+    stats.io.syscalls += io.syscalls;
+    stats.io.zero_copy_sends += io.zero_copy_sends;
+    stats.io.copied_sends += io.copied_sends;
+    stats.io.copied_bytes += io.copied_bytes;
+    stats.io.bytes_sent += io.bytes_sent;
+    stats.io.bytes_received += io.bytes_received;
   }
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -309,24 +282,8 @@ void HttpServer::IoLoop(Reactor& reactor) {
     reactor.pinned_cpu.store(PinSelfToCpu(reactor.index),
                              std::memory_order_relaxed);
   }
-  // The backend is initialized on the reactor thread (io_uring rings are
-  // single-issuer: the creating task is the submitting task).
-  Status init =
-      reactor.backend->Init(reactor.listen_fd, reactor.event_fd, &reactor);
-  if (!init.ok() && reactor.backend->kind() == IoBackendKind::kIoUring) {
-    std::fprintf(stderr,
-                 "aqua: reactor %zu io_uring init failed (%s); "
-                 "falling back to epoll\n",
-                 reactor.index, init.message().c_str());
-    auto epoll = MakeEpollBackend();
-    {
-      std::lock_guard<std::mutex> lock(reactor.rearm_mutex);
-      reactor.backend.swap(epoll);
-    }
-    epoll.reset();
-    init = reactor.backend->Init(reactor.listen_fd, reactor.event_fd,
-                                 &reactor);
-  }
+  const Status init =
+      reactor.backend.Init(reactor.listen_fd, reactor.event_fd, &reactor);
   if (!init.ok()) {
     std::fprintf(stderr, "aqua: reactor %zu failed to start: %s\n",
                  reactor.index, init.message().c_str());
@@ -336,7 +293,7 @@ void HttpServer::IoLoop(Reactor& reactor) {
   bool draining = false;
   int drain_spins = 0;
   for (;;) {
-    const Status status = reactor.backend->Poll(100);
+    const Status status = reactor.backend.Poll(100);
     if (!status.ok()) {
       std::fprintf(stderr, "aqua: reactor %zu poll failed: %s\n",
                    reactor.index, status.message().c_str());
@@ -345,7 +302,7 @@ void HttpServer::IoLoop(Reactor& reactor) {
     ProcessRearms(reactor);
     if (stopping_.load(std::memory_order_acquire) && !draining) {
       draining = true;
-      reactor.backend->StopAccepting();
+      reactor.backend.StopAccepting();
     }
     // in_flight_ and the queue are global: every reactor waits for the
     // whole server to drain so no reactor exits while a worker still owes
@@ -369,12 +326,12 @@ void HttpServer::IoLoop(Reactor& reactor) {
   std::vector<Connection*> remaining(reactor.connections.begin(),
                                      reactor.connections.end());
   for (Connection* conn : remaining) CloseConnection(reactor, conn);
-  reactor.backend->Shutdown();
+  reactor.backend.Shutdown();
 }
 
 bool HttpServer::AnyPendingSend(Reactor& reactor) const {
   for (Connection* conn : reactor.connections) {
-    if (conn->io != nullptr && reactor.backend->HasPendingSend(conn->io)) {
+    if (conn->io != nullptr && reactor.backend.HasPendingSend(conn->io)) {
       return true;
     }
   }
@@ -385,7 +342,7 @@ void HttpServer::OnAccept(Reactor& reactor, int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   auto* conn = new Connection(fd, limits_, &reactor);
-  conn->io = reactor.backend->Add(fd, conn);
+  conn->io = reactor.backend.Add(fd, conn);
   if (conn->io == nullptr) {
     ::close(fd);
     delete conn;
@@ -422,7 +379,7 @@ void HttpServer::OnSendDrained(Reactor& reactor, Connection* conn) {
   // Serve any pipelined requests buffered while the send was in flight;
   // only then re-open the receive path.
   if (!DrainParsed(reactor, conn)) return;
-  reactor.backend->ResumeRecv(conn->io);
+  reactor.backend.ResumeRecv(conn->io);
 }
 
 bool HttpServer::DrainParsed(Reactor& reactor, Connection* conn) {
@@ -486,7 +443,7 @@ bool HttpServer::HandleParsedRequest(Reactor& reactor, Connection* conn,
   // WorkItem carries a fixed-size copy of the request views; the parser
   // storage they point into stays untouched (receive delivery is
   // suspended) until the worker pushes its rearm.
-  reactor.backend->SuspendRecv(conn->io);
+  reactor.backend.SuspendRecv(conn->io);
   WorkItem item;
   item.conn = conn;
   item.request = request;
@@ -529,7 +486,7 @@ bool HttpServer::FinishSend(Reactor& reactor, Connection* conn,
     // response is still leaving — the parser cannot grow unboundedly
     // behind a reader that never drains.
     conn->close_after_send = !keep_alive;
-    reactor.backend->SuspendRecv(conn->io);
+    reactor.backend.SuspendRecv(conn->io);
     return false;
   }
   if (!keep_alive) {
@@ -581,13 +538,12 @@ bool HttpServer::ServeInline(Reactor& reactor, Connection* conn,
     if (const std::shared_ptr<const std::string>* pinned =
             reactor.cache.LookupPinned(scope, epoch, key)) {
       // Hit: replay the stored bytes verbatim — no handler, no snapshot
-      // pin, no allocation.  The entry itself is handed to the backend:
-      // epoll writes from it in place (pinning it only if a tail parks);
-      // io_uring submits it to the ring as-is, so the bytes go from cache
-      // to NIC with zero copies even if the epoch advances mid-send.
+      // pin, no allocation.  The entry itself is handed to the backend,
+      // which writes from it in place and pins it only if a tail parks,
+      // so a slow reader's tail survives an epoch advance with no copy.
       const std::string& wire = **pinned;
       return FinishSend(reactor, conn,
-                        reactor.backend->Send(conn->io, wire, {}, pinned),
+                        reactor.backend.Send(conn->io, wire, {}, pinned),
                         request.keep_alive);
     }
   }
@@ -613,7 +569,7 @@ bool HttpServer::ServeInline(Reactor& reactor, Connection* conn,
   // byte now, the backend copies the tail before returning (the scratch
   // is reused by the very next request).
   const IoBackend::SendResult sent =
-      reactor.backend->Send(conn->io, head, response.body, nullptr);
+      reactor.backend.Send(conn->io, head, response.body, nullptr);
 
   if (cacheable && response.status_code == 200 &&
       response.keep_alive == request.keep_alive) {
@@ -652,7 +608,7 @@ void HttpServer::ProcessRearms(Reactor& reactor) {
       // The worker's nonblocking write left a tail; finish it through the
       // backend (still delivering the response even when draining).
       const IoBackend::SendResult sent =
-          reactor.backend->Send(conn->io, item.pending_wire, {}, nullptr);
+          reactor.backend.Send(conn->io, item.pending_wire, {}, nullptr);
       if (sent == IoBackend::SendResult::kError) {
         CloseConnection(reactor, conn);
         continue;
@@ -670,13 +626,13 @@ void HttpServer::ProcessRearms(Reactor& reactor) {
     // Pipelined requests already buffered are served without a read (and
     // may bounce the connection straight back to the worker pool).
     if (!DrainParsed(reactor, conn)) continue;
-    reactor.backend->ResumeRecv(conn->io);
+    reactor.backend.ResumeRecv(conn->io);
   }
 }
 
 void HttpServer::CloseConnection(Reactor& reactor, Connection* conn) {
   if (conn->io != nullptr) {
-    reactor.backend->Close(conn->io);
+    reactor.backend.Close(conn->io);
   } else if (conn->fd >= 0) {
     ::close(conn->fd);
   }
@@ -688,10 +644,10 @@ void HttpServer::SendControl(Reactor& reactor, Connection* conn,
                              const HttpResponse& response) {
   const std::string wire = response.Serialize();
   const IoBackend::SendResult sent =
-      reactor.backend->Send(conn->io, wire, {}, nullptr);
+      reactor.backend.Send(conn->io, wire, {}, nullptr);
   if (sent == IoBackend::SendResult::kPending) {
     conn->close_after_send = true;
-    reactor.backend->SuspendRecv(conn->io);
+    reactor.backend.SuspendRecv(conn->io);
     return;
   }
   // Control responses (400/503) always close, drained or failed alike.

@@ -29,14 +29,9 @@ struct HttpServerOptions {
   /// 0 picks an ephemeral port; read it back with port() after Start().
   std::uint16_t port = 0;
   /// Shared-nothing IO reactors.  Each owns an SO_REUSEPORT listener, an
-  /// IO backend (epoll or io_uring), a connection registry and a response
-  /// cache; the kernel spreads incoming connections across them by flow
-  /// hash.
+  /// epoll transport, a connection registry and a response cache; the
+  /// kernel spreads incoming connections across them by flow hash.
   int reactors = 1;
-  /// Which transport each reactor runs on.  kIoUring falls back to kEpoll
-  /// with a logged warning when the kernel (or the build) lacks support;
-  /// Stats().io_backend reports what is actually running.
-  IoBackendKind io_backend = IoBackendKind::kEpoll;
   /// Handler threads for worker-dispatched (mutating) routes.
   int workers = 4;
   /// Bounded request queue: parsed worker-route requests waiting for a
@@ -66,7 +61,7 @@ struct RouteOptions {
   /// run-to-completion, no queue hop) and everything else to the worker
   /// pool.  Register a blocking GET (e.g. a debug sleeper) with kWorker
   /// explicitly so it cannot stall a reactor.
-  enum class Dispatch { kAuto, kInline, kWorker };
+  enum class Dispatch { kAuto, kWorker };
   Dispatch dispatch = Dispatch::kAuto;
   /// Optional per-request veto consulted for routes with a scoped_epoch
   /// (prefix routes covering a mix of cacheable and live paths).  Return
@@ -101,26 +96,24 @@ struct RouteOptions {
 };
 
 /// An HTTP/1.1 server scaled across N shared-nothing reactors: every
-/// reactor owns its own SO_REUSEPORT listener socket, IO backend (epoll
-/// readiness loop or io_uring completion ring, selected by
-/// HttpServerOptions::io_backend), wake eventfd, connection registry and
-/// response cache, so the read path never crosses a thread.  A connection
-/// is accepted by exactly one reactor and lives there: reads, parsing,
-/// inline handling, response writes and keep-alive re-arming all happen on
-/// that reactor's thread.
+/// reactor owns its own SO_REUSEPORT listener socket, epoll transport
+/// (IoBackend), wake eventfd, connection registry and response cache, so
+/// the read path never crosses a thread.  A connection is accepted by
+/// exactly one reactor and lives there: reads, parsing, inline handling,
+/// response writes and keep-alive re-arming all happen on that reactor's
+/// thread.
 ///
 /// Read-path (inline) routes run to completion on the reactor — no queue
 /// hop, no cross-thread rearm — and may serve fully cached wire bytes via
-/// the per-reactor ResponseCache (under io_uring the cache entry's bytes
-/// are submitted to the ring in place: zero copies).  The reactor never
-/// blocks on a slow reader: a short write parks the unsent tail with the
-/// backend (EPOLLOUT rearm / ring resubmission) and receive delivery stays
-/// suspended until it drains.  Mutating routes are handed to a shared
-/// bounded queue consumed by worker threads, which compute the response,
-/// write what the socket accepts without blocking, and return the
-/// connection (plus any unsent tail) to its owning reactor.  Keep-alive
-/// and pipelined requests are supported (a pipeline may interleave inline
-/// and worker requests); chunked uploads are not.
+/// the per-reactor ResponseCache.  The reactor never blocks on a slow
+/// reader: a short write parks the unsent tail with the backend (EPOLLOUT
+/// rearm) and receive delivery stays suspended until it drains.  Mutating
+/// routes are handed to a shared bounded queue consumed by worker threads,
+/// which compute the response, write what the socket accepts without
+/// blocking, and return the connection (plus any unsent tail) to its
+/// owning reactor.  Keep-alive and pipelined requests are supported (a
+/// pipeline may interleave inline and worker requests); chunked uploads
+/// are not.
 ///
 /// Lifecycle: Route(...) then Start(); Shutdown() stops accepting, drains
 /// queued and in-flight requests, then joins every thread (graceful drain
@@ -169,10 +162,6 @@ class HttpServer {
   /// SO_REUSEPORT).
   std::uint16_t port() const { return port_; }
 
-  /// The transport the reactors actually run on (after the io_uring
-  /// availability probe and possible fallback).  Valid after Start().
-  IoBackendKind io_backend() const { return io_backend_actual_; }
-
   /// Graceful drain: stop accepting, answer everything already queued or
   /// in flight, join all threads.  Idempotent; safe from any thread except
   /// a reactor or worker.
@@ -194,8 +183,6 @@ class HttpServer {
     std::int64_t cache_bypass = 0;
     std::int64_t cache_invalidations = 0;
     std::int64_t cache_stale_evictions = 0;
-    /// Name of the transport actually running ("epoll" / "io_uring").
-    std::string_view io_backend;
     /// Reactors whose CPU pin succeeded (0 when pinning is off).
     int reactors_pinned = 0;
     /// Transport counters aggregated across all reactors' backends.
@@ -258,9 +245,8 @@ class HttpServer {
     std::size_t index = 0;
     int listen_fd = -1;
     int event_fd = -1;
-    /// Guarded by rearm_mutex only around the rare in-thread fallback
-    /// swap; effectively reactor-thread-owned.
-    std::unique_ptr<IoBackend> backend;
+    /// Reactor-thread-owned, except GetStats(), which any thread may call.
+    IoBackend backend;
     std::thread thread;
     /// Reactor-thread-owned registry of live connections.
     std::unordered_set<Connection*> connections;
@@ -341,7 +327,6 @@ class HttpServer {
   std::vector<RouteEntry> prefix_routes_;
 
   std::uint16_t port_ = 0;
-  IoBackendKind io_backend_actual_ = IoBackendKind::kEpoll;
   std::vector<std::unique_ptr<Reactor>> reactors_;
   std::vector<std::thread> workers_;
 

@@ -91,8 +91,28 @@ TEST(SnapshotCacheTest, WallIntervalTriggersRefresh) {
        .max_stale_interval = std::chrono::milliseconds(20)});
   (void)cache.Get();
   EXPECT_EQ(builds, 1);
+  cache.OnOps(1);  // a trickle far below any ops bound
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_TRUE(cache.IsStale());
+  EXPECT_EQ(cache.Get().ValueOrDie()->builds, 2);
+}
+
+TEST(SnapshotCacheTest, IntervalWithoutOpsDoesNotRefresh) {
+  // No op since the last refresh: the next epoch would copy this one, so
+  // an elapsed interval alone does not make the cache stale.
+  int builds = 0;
+  SnapshotCache<Counter> cache(
+      [&builds]() -> Result<Counter> { return Counter{++builds}; },
+      {.max_stale_ops = 100,
+       .max_stale_interval = std::chrono::milliseconds(5)});
+  (void)cache.Get();
+  std::this_thread::sleep_for(std::chrono::milliseconds(15));
+  EXPECT_FALSE(cache.IsStale());
+  EXPECT_EQ(cache.Get().ValueOrDie()->builds, 1);
+  EXPECT_EQ(cache.epoch(), 1u);
+
+  cache.OnOps(1);
+  EXPECT_TRUE(cache.IsStale());  // the interval has long elapsed
   EXPECT_EQ(cache.Get().ValueOrDie()->builds, 2);
 }
 

@@ -181,6 +181,23 @@ TEST(EpochPumpTest, PumpOwnsEveryRefreshUnderChurn) {
   }
   EXPECT_GT(external, 0);
   EXPECT_GT(pump.GetStats().refreshes, 0);
+
+  // Idle: once the churn is settled, no op arrives, so the pump ticks
+  // well past the 2 ms interval without refreshing or advancing an epoch.
+  engine.SettleCaches();
+  const std::int64_t settled_refreshes = pump.GetStats().refreshes;
+  const std::int64_t settled_ticks = pump.GetStats().ticks;
+  const std::uint64_t settled_epoch = engine.ServingEpoch();
+  // About 20 ms: twenty 1 ms ticks, ten times the interval.
+  const std::int64_t idle_ticks = settled_ticks + 20;
+  pump.Start();
+  for (int i = 0; i < 5000 && pump.GetStats().ticks < idle_ticks; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  pump.Stop();
+  EXPECT_GE(pump.GetStats().ticks, idle_ticks);
+  EXPECT_EQ(pump.GetStats().refreshes, settled_refreshes);
+  EXPECT_EQ(engine.ServingEpoch(), settled_epoch);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Byte pin for every query GET the server answers: the dedicated stream
 // routes, the /attr/{name}/... routes and /query, including every 400 and
 // 404 they produce.  An in-process server with one shard answers each
-// target once over a fresh connection, on both IO backends; status and
-// body (with the wall-clock "response_ns" metric removed) must match
-// route_golden.txt line for line.
+// target once over a fresh connection; status and body (with the
+// wall-clock "response_ns" metric removed) must match route_golden.txt
+// line for line.
 //
 // The answers are deterministic: seeded preloads, one ingest shard,
 // staleness bounds far beyond the test, and no ingest after the first
@@ -27,7 +27,6 @@
 #include <gtest/gtest.h>
 
 #include "server/e2e_util.h"
-#include "server/io_backend.h"
 #include "server/routes.h"
 #include "server/server.h"
 #include "server/serving_engine.h"
@@ -132,26 +131,7 @@ std::vector<std::string> Targets() {
   return targets;
 }
 
-class RouteGolden : public ::testing::TestWithParam<IoBackendKind> {
- protected:
-  void SetUp() override {
-    if (GetParam() == IoBackendKind::kIoUring) {
-      std::string reason;
-      if (!IoUringAvailable(&reason)) {
-        GTEST_SKIP() << "io_uring unavailable: " << reason;
-      }
-    }
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    IoBackends, RouteGolden,
-    ::testing::Values(IoBackendKind::kEpoll, IoBackendKind::kIoUring),
-    [](const ::testing::TestParamInfo<IoBackendKind>& info) {
-      return std::string(IoBackendKindName(info.param));
-    });
-
-TEST_P(RouteGolden, EveryQueryGetMatchesTheGoldenFile) {
+TEST(RouteGolden, EveryQueryGetMatchesTheGoldenFile) {
   ServingEngineOptions engine_options;
   engine_options.shards = 1;
   engine_options.cache_max_stale_ops = std::numeric_limits<std::int64_t>::max();
@@ -184,13 +164,11 @@ TEST_P(RouteGolden, EveryQueryGetMatchesTheGoldenFile) {
   HttpServerOptions server_options;
   server_options.reactors = 1;
   server_options.workers = 1;
-  server_options.io_backend = GetParam();
   HttpServer server(server_options);
   RegisterServingRoutes(server, engine);
   RegisterCatalogRoutes(server, catalog);
   RegisterQueryRoutes(server, engine, &catalog);
   ASSERT_TRUE(server.Start().ok());
-  ASSERT_EQ(server.io_backend(), GetParam());
 
   std::vector<std::string> lines;
   for (const std::string& target : Targets()) {
@@ -201,8 +179,7 @@ TEST_P(RouteGolden, EveryQueryGetMatchesTheGoldenFile) {
   server.Shutdown();
 
   const char* update = std::getenv("AQUA_UPDATE_ROUTE_GOLDEN");
-  if (update != nullptr && std::string(update) == "1" &&
-      GetParam() == IoBackendKind::kEpoll) {
+  if (update != nullptr && std::string(update) == "1") {
     std::ofstream out(AQUA_ROUTE_GOLDEN);
     for (const std::string& line : lines) out << line << '\n';
     ASSERT_TRUE(out.good()) << "cannot write " << AQUA_ROUTE_GOLDEN;

@@ -8,7 +8,10 @@
 //  - NaN and infinite query parameters answer 400 instead of aborting,
 //  - bad numeric flags (a Zipf preload spec out of range, a NaN, infinite
 //    or overflowing --attr weight) exit with the usage status 2 instead of
-//    aborting or being ignored,
+//    aborting or being ignored, and a catalog that cannot seal exits before
+//    the preload,
+//  - --pin-cores pins the reactor and /stats reports the transport
+//    counters,
 //  - overload answers 503 (one worker + queue capacity 1 + a debug request
 //    that holds the worker),
 //  - SIGTERM drains gracefully with exit code 0.
@@ -19,6 +22,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -185,15 +189,18 @@ TEST(ServeE2eTest, NonFiniteParametersAnswer400AndTheServerSurvives) {
   EXPECT_EQ(server.TerminateAndWait(), 0);
 }
 
-/// Runs aqua_serve with `args` to its exit, output discarded, and returns
-/// its wait status.  A server that starts serving instead is killed after
-/// 10 s (so the status then shows a signal).
-int RunToExit(const std::vector<std::string>& args) {
+/// Runs aqua_serve with `args` to its exit, stdout discarded, and returns
+/// its wait status; its stderr goes to *stderr_text.  A server that starts
+/// serving instead is killed after 10 s (so the status then shows a
+/// signal).
+int RunToExit(const std::vector<std::string>& args, std::string* stderr_text) {
+  FILE* err = tmpfile();
+  if (err == nullptr) return -1;
   const pid_t pid = fork();
   if (pid == 0) {
     const int devnull = open("/dev/null", O_WRONLY);
     dup2(devnull, STDOUT_FILENO);
-    dup2(devnull, STDERR_FILENO);
+    dup2(fileno(err), STDERR_FILENO);
     std::vector<std::string> all = {AQUA_SERVE_BINARY, "--port", "0"};
     all.insert(all.end(), args.begin(), args.end());
     std::vector<char*> argv;
@@ -203,34 +210,74 @@ int RunToExit(const std::vector<std::string>& args) {
     _exit(127);
   }
   int wstatus = 0;
-  for (int waited_ms = 0; waited_ms < 10000; waited_ms += 10) {
-    if (waitpid(pid, &wstatus, WNOHANG) == pid) return wstatus;
-    usleep(10000);
+  bool exited = false;
+  for (int waited_ms = 0; waited_ms < 10000 && !exited; waited_ms += 10) {
+    exited = waitpid(pid, &wstatus, WNOHANG) == pid;
+    if (!exited) usleep(10000);
   }
-  kill(pid, SIGKILL);
-  waitpid(pid, &wstatus, 0);
+  if (!exited) {
+    kill(pid, SIGKILL);
+    waitpid(pid, &wstatus, 0);
+  }
+  stderr_text->clear();
+  rewind(err);
+  char buf[4096];
+  for (std::size_t n; (n = fread(buf, 1, sizeof(buf), err)) > 0;) {
+    stderr_text->append(buf, n);
+  }
+  fclose(err);
   return wstatus;
 }
 
 TEST(ServeE2eTest, BadNumericFlagsExitTwoWithoutASignal) {
-  const std::vector<std::vector<std::string>> specs = {
-      {"--preload-zipf", "10,0,1.0,1"},    // empty domain
-      {"--preload-zipf", "10,500,nan,1"},  // NaN alpha
-      {"--preload-zipf", "10,500,-2,1"},   // negative alpha
-      {"--preload-zipf", "-1,500,1.0,1"},  // negative count
-      {"--attr", "a:nan"},
-      {"--attr", "a:inf"},
-      {"--attr", "a:1e308", "--attr", "b:1e308"},  // the sum overflows
+  struct Spec {
+    /// Space-separated flags.
+    std::string flags;
+    /// Text stderr must hold, or empty.
+    std::string says;
   };
-  for (const std::vector<std::string>& args : specs) {
-    std::string shown;
-    for (const std::string& a : args) shown += a + " ";
-    const int wstatus = RunToExit(args);
+  const std::vector<Spec> specs = {
+      {"--preload-zipf 10,0,1.0,1", ""},    // empty domain
+      {"--preload-zipf 10,500,nan,1", ""},  // NaN alpha
+      {"--preload-zipf 10,500,-2,1", ""},   // negative alpha
+      {"--preload-zipf -1,500,1.0,1", ""},  // negative count
+      {"--attr a:nan", ""},
+      {"--attr a:inf", ""},
+      // The weights' sum overflows, so the catalog cannot seal; it seals
+      // before the preload, so nothing is preloaded first.
+      {"--attr a:1e308 --attr b:1e308", "catalog seal failed"},
+      {"--preload-zipf 3000000,1000,1.0,1 --attr a:1e308 --attr b:1e308",
+       "catalog seal failed"},
+  };
+  for (const Spec& spec : specs) {
+    std::vector<std::string> args;
+    std::istringstream words(spec.flags);
+    for (std::string word; words >> word;) args.push_back(word);
+    std::string err;
+    const int wstatus = RunToExit(args, &err);
     EXPECT_FALSE(WIFSIGNALED(wstatus))
-        << shown << "ended by signal " << WTERMSIG(wstatus);
+        << spec.flags << " ended by signal " << WTERMSIG(wstatus);
     EXPECT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 2)
-        << shown << "exit status " << WEXITSTATUS(wstatus);
+        << spec.flags << " exit status " << WEXITSTATUS(wstatus);
+    EXPECT_NE(err.find(spec.says), std::string::npos) << spec.flags << err;
+    EXPECT_EQ(err.find("preloaded"), std::string::npos) << spec.flags << err;
   }
+}
+
+TEST(ServeE2eTest, PinnedReactorAndTransportCountersInStats) {
+  ServerProcess server({"--reactors", "1", "--pin-cores"});
+  ASSERT_EQ(Fetch(server.port(), "/healthz").status, 200);
+  const RawResponse stats = Fetch(server.port(), "/stats");
+  ASSERT_EQ(stats.status, 200);
+  // Pinning is best-effort, but every host has CPU 0.
+  EXPECT_NE(stats.body.find("\"reactors_pinned\":1"), std::string::npos)
+      << stats.body;
+  // The /healthz exchange already moved the transport counters.
+  for (const std::string counter : {"\"syscalls\":", "\"zero_copy_sends\":"}) {
+    EXPECT_NE(stats.body.find(counter), std::string::npos) << stats.body;
+    EXPECT_EQ(stats.body.find(counter + "0,"), std::string::npos) << stats.body;
+  }
+  EXPECT_EQ(server.TerminateAndWait(), 0);
 }
 
 TEST(ServeE2eTest, SigtermDrainsCleanly) {

@@ -1,12 +1,11 @@
-// Regression pin for the parked-write path, on both IO backends: a client
-// that stops reading must never stall the reactor.  The server runs with a
-// deliberately tiny listener SO_SNDBUF so a ~300KB response cannot fit in
-// the socket buffer; the old reactor poll-spun inside a blocking writev
-// until the peer drained, freezing every other connection on the reactor.
-// The IoBackend contract parks the unsent tail instead (EPOLLOUT rearm on
-// epoll, ring-submitted send on io_uring), so a concurrent fast client
-// keeps getting answers while the slow reader crawls — and the slow reader
-// still receives every byte, verbatim.
+// Regression pin for the parked-write path: a client that stops reading
+// must never stall the reactor.  The server runs with a deliberately tiny
+// listener SO_SNDBUF so a ~300KB response cannot fit in the socket buffer;
+// the old reactor poll-spun inside a blocking writev until the peer
+// drained, freezing every other connection on the reactor.  The IoBackend
+// contract parks the unsent tail instead (EPOLLOUT rearm), so a concurrent
+// fast client keeps getting answers while the slow reader crawls — and the
+// slow reader still receives every byte, verbatim.
 
 #include <netinet/in.h>
 #include <poll.h>
@@ -22,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include "server/io_backend.h"
 #include "server/server.h"
 
 namespace aqua {
@@ -60,25 +58,12 @@ std::string ReadToEof(int fd, int timeout_ms = 30000) {
   return out;
 }
 
-class SlowReaderTest : public ::testing::TestWithParam<IoBackendKind> {
- protected:
-  void SetUp() override {
-    if (GetParam() == IoBackendKind::kIoUring) {
-      std::string reason;
-      if (!IoUringAvailable(&reason)) {
-        GTEST_SKIP() << "io_uring unavailable: " << reason;
-      }
-    }
-  }
-};
-
-TEST_P(SlowReaderTest, ParkedWriteDoesNotStallTheReactor) {
+TEST(SlowReaderTest, ParkedWriteDoesNotStallTheReactor) {
   // One reactor, so the slow and fast connections share it: any blocking
   // write on the slow connection would freeze the fast one.
   HttpServerOptions options;
   options.reactors = 1;
   options.workers = 2;
-  options.io_backend = GetParam();
   options.sndbuf = 4096;  // a ~300KB response cannot fit: the tail parks
   HttpServer server(options);
 
@@ -94,7 +79,6 @@ TEST_P(SlowReaderTest, ParkedWriteDoesNotStallTheReactor) {
     response->body = "ok";
   });
   ASSERT_TRUE(server.Start().ok());
-  ASSERT_EQ(server.io_backend(), GetParam());
 
   const std::string big_request =
       "GET /big HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
@@ -156,11 +140,10 @@ TEST_P(SlowReaderTest, ParkedWriteDoesNotStallTheReactor) {
   server.Shutdown();
 }
 
-TEST_P(SlowReaderTest, ShutdownDoesNotHangOnAParkedSend) {
+TEST(SlowReaderTest, ShutdownDoesNotHangOnAParkedSend) {
   HttpServerOptions options;
   options.reactors = 1;
   options.workers = 1;
-  options.io_backend = GetParam();
   options.sndbuf = 4096;
   HttpServer server(options);
   const std::string big(256 * 1024, 'y');
@@ -183,13 +166,6 @@ TEST_P(SlowReaderTest, ShutdownDoesNotHangOnAParkedSend) {
       std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(), 30);
   close(fd);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    IoBackends, SlowReaderTest,
-    ::testing::Values(IoBackendKind::kEpoll, IoBackendKind::kIoUring),
-    [](const ::testing::TestParamInfo<IoBackendKind>& info) {
-      return std::string(IoBackendKindName(info.param));
-    });
 
 }  // namespace
 }  // namespace aqua

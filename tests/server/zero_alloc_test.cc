@@ -32,7 +32,6 @@
 
 #include <gtest/gtest.h>
 
-#include "server/io_backend.h"
 #include "server/routes.h"
 #include "server/server.h"
 #include "server/serving_engine.h"
@@ -150,29 +149,7 @@ std::string ColdGet(const std::string& target) {
          " HTTP/1.1\r\nHost: t\r\nCache-Control: no-cache\r\n\r\n";
 }
 
-/// Parameterized over the IO backend so the allocation-free guarantee is
-/// pinned against both transports: epoll (writev + EPOLLOUT parking) and
-/// io_uring (provided-buffer receives, ring-submitted sends).
-class ZeroAllocServing : public ::testing::TestWithParam<IoBackendKind> {
- protected:
-  void SetUp() override {
-    if (GetParam() == IoBackendKind::kIoUring) {
-      std::string reason;
-      if (!IoUringAvailable(&reason)) {
-        GTEST_SKIP() << "io_uring unavailable: " << reason;
-      }
-    }
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    IoBackends, ZeroAllocServing,
-    ::testing::Values(IoBackendKind::kEpoll, IoBackendKind::kIoUring),
-    [](const ::testing::TestParamInfo<IoBackendKind>& info) {
-      return std::string(IoBackendKindName(info.param));
-    });
-
-TEST_P(ZeroAllocServing, EveryGetRouteIsAllocationFreeOnceWarm) {
+TEST(ZeroAllocServing, EveryGetRouteIsAllocationFreeOnceWarm) {
   // Staleness bounds far beyond the test horizon: after the warm-up
   // queries refresh each snapshot cache once, no refresh (and no epoch
   // advance) happens mid-measurement.  No ingest runs after Start, so the
@@ -202,13 +179,11 @@ TEST_P(ZeroAllocServing, EveryGetRouteIsAllocationFreeOnceWarm) {
   HttpServerOptions server_options;
   server_options.reactors = 1;
   server_options.workers = 1;
-  server_options.io_backend = GetParam();
   HttpServer server(server_options);
   RegisterServingRoutes(server, engine);
   RegisterCatalogRoutes(server, catalog);
   RegisterQueryRoutes(server, engine, &catalog);
   ASSERT_TRUE(server.Start().ok());
-  ASSERT_EQ(server.io_backend(), GetParam());
 
   const std::vector<std::string> targets = {
       "/healthz",
@@ -292,12 +267,10 @@ TEST_P(ZeroAllocServing, EveryGetRouteIsAllocationFreeOnceWarm) {
   server.Shutdown();
 }
 
-TEST_P(ZeroAllocServing, CachedHitPathIsAllocationFreeOnBothBackends) {
+TEST(ZeroAllocServing, CachedHitPathIsAllocationFree) {
   // The query routes' scoped epochs key the ResponseCache, so cacheable
-  // GETs replay from it once warm.  On epoll a hit is a hash probe + writev
-  // from the cached wire; on io_uring the hit pins the cache entry's
-  // shared_ptr (a refcount bump, not an allocation) and ring-submits the
-  // bytes in place.  Both must be allocation-free per hit.
+  // GETs replay from it once warm: a hash probe + writev from the cached
+  // wire, which must be allocation-free per hit.
   ServingEngineOptions engine_options;
   engine_options.shards = 2;
   engine_options.cache_max_stale_ops =
@@ -312,12 +285,10 @@ TEST_P(ZeroAllocServing, CachedHitPathIsAllocationFreeOnBothBackends) {
   HttpServerOptions server_options;
   server_options.reactors = 1;
   server_options.workers = 1;
-  server_options.io_backend = GetParam();
   HttpServer server(server_options);
   RegisterServingRoutes(server, engine);
   RegisterQueryRoutes(server, engine, nullptr);
   ASSERT_TRUE(server.Start().ok());
-  ASSERT_EQ(server.io_backend(), GetParam());
 
   const std::vector<std::string> targets = {
       "/hotlist?k=5&beta=2.0",
