@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdint>
@@ -111,11 +112,12 @@ struct LoadResult {
 /// merges the per-request latency samples.  `pin_offset >= 0` pins client
 /// thread t to CPU (pin_offset + t), modulo online CPUs — offset past the
 /// server's reactors so client and reactor threads contend for distinct
-/// cores when enough exist.
+/// cores when enough exist.  Each write carries `depth` pipelined
+/// requests; every response's sample runs from that write to its arrival.
 inline LoadResult DriveLoad(std::uint16_t port,
                             const std::vector<std::string>& paths,
                             int threads, int requests_per_thread,
-                            int pin_offset = -1) {
+                            int pin_offset = -1, int depth = 1) {
   std::vector<std::vector<std::int64_t>> samples(
       static_cast<std::size_t>(threads));
   std::vector<std::int64_t> errors(static_cast<std::size_t>(threads), 0);
@@ -136,22 +138,28 @@ inline LoadResult DriveLoad(std::uint16_t port,
       std::string carry;
       auto& mine = samples[static_cast<std::size_t>(t)];
       mine.reserve(static_cast<std::size_t>(requests_per_thread));
-      for (int i = 0; i < requests_per_thread; ++i) {
-        const std::string& path =
-            paths[static_cast<std::size_t>(i) % paths.size()];
-        const std::string wire =
-            "GET " + path + " HTTP/1.1\r\nHost: b\r\n\r\n";
+      bool dead = false;
+      for (int i = 0; i < requests_per_thread && !dead; i += depth) {
+        const int burst = std::min(depth, requests_per_thread - i);
+        std::string wire;
+        for (int k = 0; k < burst; ++k) {
+          wire += "GET " +
+                  paths[static_cast<std::size_t>(i + k) % paths.size()] +
+                  " HTTP/1.1\r\nHost: b\r\n\r\n";
+        }
         const std::int64_t begin = NowNs();
         if (!SendAll(fd, wire)) {
           ++errors[static_cast<std::size_t>(t)];
           break;
         }
-        const int status = ReadOneStatus(fd, &carry);
-        mine.push_back(NowNs() - begin);
-        if (status >= 500) ++fives[static_cast<std::size_t>(t)];
-        if (status < 200 || status >= 300) {
-          ++errors[static_cast<std::size_t>(t)];
-          if (status == 0) break;  // dead socket
+        for (int k = 0; k < burst && !dead; ++k) {
+          const int status = ReadOneStatus(fd, &carry);
+          mine.push_back(NowNs() - begin);
+          if (status >= 500) ++fives[static_cast<std::size_t>(t)];
+          if (status < 200 || status >= 300) {
+            ++errors[static_cast<std::size_t>(t)];
+            dead = status == 0;  // dead socket
+          }
         }
       }
       close(fd);

@@ -93,6 +93,8 @@ int Main(int argc, char** argv) {
     m = bench::SmokeCap(m);
     const std::int64_t n = 10 * m;
     const std::int64_t domain = 5 * m;
+    std::string row_prefix = "m";
+    row_prefix.append(std::to_string(m)).push_back('/');
     const std::vector<Value> stream =
         ZipfValues(n, domain, 1.0, bench::TrialSeed(4100, 0));
 
@@ -173,7 +175,7 @@ int Main(int argc, char** argv) {
       std::printf("%-8lld %-12s %14.0f %14.0f %14.0f %14.0f %9.1fx\n",
                   static_cast<long long>(m), k.kind, k.direct.p50_ns,
                   k.direct.p99_ns, k.view.p50_ns, k.view.p99_ns, ratio);
-      report.Add("m" + std::to_string(m) + "/" + k.kind,
+      report.Add(row_prefix + k.kind,
                  {{"direct_p50_ns", k.direct.p50_ns},
                   {"direct_p99_ns", k.direct.p99_ns},
                   {"view_p50_ns", k.view.p50_ns},
@@ -186,7 +188,7 @@ int Main(int argc, char** argv) {
                 static_cast<long long>(freeze_ns),
                 static_cast<long long>(view.entry_count()),
                 static_cast<long long>(view.sample_size()));
-    report.Add("m" + std::to_string(m) + "/freeze",
+    report.Add(row_prefix + "freeze",
                {{"build_ns", static_cast<double>(freeze_ns)},
                 {"entries", static_cast<double>(view.entry_count())}});
 
@@ -207,7 +209,7 @@ int Main(int argc, char** argv) {
     });
     std::printf("%-8lld %-12s cached Get() p50 %0.f ns, p99 %0.f ns\n",
                 static_cast<long long>(m), "-", get.p50_ns, get.p99_ns);
-    report.Add("m" + std::to_string(m) + "/cached_get",
+    report.Add(row_prefix + "cached_get",
                {{"p50_ns", get.p50_ns}, {"p99_ns", get.p99_ns}});
   }
 

@@ -57,8 +57,11 @@ int main() {
         sa != nullptr ? static_cast<double>(*sa) / pairs_per_item : 0.0;
     const double baskets_b =
         sb != nullptr ? static_cast<double>(*sb) / pairs_per_item : 0.0;
+    std::string pair = "{";
+    pair.append(std::to_string(a)).append(",").append(std::to_string(b));
+    pair.push_back('}');
     table.AddRow(
-        {"{" + std::to_string(a) + "," + std::to_string(b) + "}",
+        {pair,
          TablePrinter::Num(support_ab, 0),
          TablePrinter::Num(
              baskets_a > 0 ? std::min(100.0, 100.0 * support_ab / baskets_a)

@@ -25,7 +25,7 @@ struct ConciseSampleOptions {
   /// Seed for the synopsis's private random stream.
   std::uint64_t seed = 0x19980531ULL;
   /// Threshold-raise policy; null selects the paper's ×1.1 default.
-  std::shared_ptr<ThresholdPolicy> policy;
+  std::shared_ptr<ThresholdPolicy> policy = nullptr;
   /// When false, disables geometric skip counting and flips a coin per
   /// stream element / per sample point — the naive baseline for the
   /// update-time ablation (bench/ablation_skip).  Statistically identical.

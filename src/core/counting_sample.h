@@ -23,7 +23,7 @@ struct CountingSampleOptions {
   Words footprint_bound = 1000;
   std::uint64_t seed = 0x19980531ULL;
   /// Threshold-raise policy; null selects the paper's ×1.1 default.
-  std::shared_ptr<ThresholdPolicy> policy;
+  std::shared_ptr<ThresholdPolicy> policy = nullptr;
   /// Disable to flip per-event coins instead of geometric skips (ablation).
   bool use_skip_counting = true;
 };

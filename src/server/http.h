@@ -157,6 +157,11 @@ class HttpRequestParser {
   State state() const { return state_; }
   const std::string& error() const { return error_; }
 
+  /// The completed request without taking it: the state stays kComplete,
+  /// so a caller can look at its route before deciding to TakeRequest().
+  /// Only valid in kComplete.
+  const HttpRequest& PeekRequest() const { return request_; }
+
   /// Returns the completed request (a fixed-size copy of the views) and
   /// resets to parse the next one.  Only valid in kComplete.  The views
   /// stay valid until the next Feed/Reparse on this parser.

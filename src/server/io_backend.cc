@@ -1,4 +1,4 @@
-// Level-triggered epoll with nonblocking read/writev performed by the
+// Level-triggered epoll with nonblocking read/write performed by the
 // backend at readiness time.  Never blocks outside epoll_wait: a short
 // write parks the unsent tail on the connection and arms EPOLLOUT.
 #include "server/io_backend.h"
@@ -7,8 +7,9 @@
 #include <string.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
+
+#include <string>
 
 namespace aqua {
 
@@ -19,10 +20,8 @@ struct IoBackend::Conn {
   bool send_pending = false;
   bool registered = false;
   bool closed = false;
-  // Parked send tail: `park_data/park_len` point either into *pin (cache
-  // entry kept alive with no copy) or into `owned` (copied volatile
-  // scratch).
-  std::shared_ptr<const std::string> pin;
+  // Parked send tail, copied out of the caller's buffer; `park_data` /
+  // `park_len` are the part of `owned` not yet written.
   std::string owned;
   const char* park_data = nullptr;
   std::size_t park_len = 0;
@@ -122,29 +121,17 @@ void IoBackend::ResumeRecv(void* handle) {
   SyncMask(conn);
 }
 
-IoBackend::SendResult IoBackend::Send(
-    void* handle, std::string_view head, std::string_view body,
-    const std::shared_ptr<const std::string>* pin) {
+IoBackend::SendResult IoBackend::Send(void* handle, std::string_view data,
+                                      std::int64_t responses) {
   auto* conn = static_cast<Conn*>(handle);
-  const std::size_t total = head.size() + body.size();
+  if (responses > 1) {
+    coalesced_responses_.fetch_add(responses - 1, std::memory_order_relaxed);
+  }
   std::size_t written = 0;
-  while (written < total) {
-    iovec iov[2];
-    int iovcnt = 0;
-    if (written < head.size()) {
-      iov[iovcnt].iov_base = const_cast<char*>(head.data()) + written;
-      iov[iovcnt].iov_len = head.size() - written;
-      ++iovcnt;
-    }
-    const std::size_t body_done =
-        written > head.size() ? written - head.size() : 0;
-    if (body_done < body.size()) {
-      iov[iovcnt].iov_base = const_cast<char*>(body.data()) + body_done;
-      iov[iovcnt].iov_len = body.size() - body_done;
-      ++iovcnt;
-    }
+  while (written < data.size()) {
     CountSyscall();
-    const ssize_t n = ::writev(conn->fd, iov, iovcnt);
+    const ssize_t n =
+        ::write(conn->fd, data.data() + written, data.size() - written);
     if (n > 0) {
       written += static_cast<std::size_t>(n);
       bytes_sent_.fetch_add(n, std::memory_order_relaxed);
@@ -152,12 +139,20 @@ IoBackend::SendResult IoBackend::Send(
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      ParkTail(conn, head, body, written, pin);
+      // Park the tail: the caller reuses its buffer as soon as we return.
+      conn->owned.assign(data.substr(written));
+      conn->park_data = conn->owned.data();
+      conn->park_len = conn->owned.size();
+      copied_sends_.fetch_add(1, std::memory_order_relaxed);
+      copied_bytes_.fetch_add(static_cast<std::int64_t>(conn->park_len),
+                              std::memory_order_relaxed);
+      conn->send_pending = true;
+      SyncMask(conn);
       return SendResult::kPending;
     }
     return SendResult::kError;
   }
-  zero_copy_sends_.fetch_add(1, std::memory_order_relaxed);
+  direct_sends_.fetch_add(1, std::memory_order_relaxed);
   return SendResult::kDone;
 }
 
@@ -184,7 +179,6 @@ void IoBackend::Close(void* handle) {
   ::close(conn->fd);
   conn->fd = -1;
   conn->closed = true;
-  conn->pin.reset();
   // Deferred free: a later event in the current epoll_wait batch may
   // still carry this pointer; Poll() skips closed conns and frees them
   // once the batch is fully dispatched.
@@ -202,7 +196,9 @@ void IoBackend::Shutdown() {
 IoBackend::Stats IoBackend::GetStats() const {
   Stats s;
   s.syscalls = syscalls_.load(std::memory_order_relaxed);
-  s.zero_copy_sends = zero_copy_sends_.load(std::memory_order_relaxed);
+  s.direct_sends = direct_sends_.load(std::memory_order_relaxed);
+  s.coalesced_responses =
+      coalesced_responses_.load(std::memory_order_relaxed);
   s.copied_sends = copied_sends_.load(std::memory_order_relaxed);
   s.copied_bytes = copied_bytes_.load(std::memory_order_relaxed);
   s.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
@@ -283,36 +279,6 @@ void IoBackend::HandleReadable(Conn* conn) {
   }
 }
 
-void IoBackend::ParkTail(Conn* conn, std::string_view head,
-                         std::string_view body, std::size_t written,
-                         const std::shared_ptr<const std::string>* pin) {
-  const std::size_t remaining = head.size() + body.size() - written;
-  // A pinned buffer can be parked in place (the shared_ptr keeps the
-  // cache entry alive, even across an epoch flush) as long as head and
-  // body are one contiguous span inside it — true for the cached wire
-  // path, which passes the whole entry as `head`.
-  if (pin != nullptr && *pin != nullptr &&
-      (body.empty() || head.data() + head.size() == body.data())) {
-    conn->pin = *pin;
-    conn->park_data = head.data() + written;
-    conn->park_len = remaining;
-    zero_copy_sends_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    conn->owned.clear();
-    if (written < head.size()) conn->owned.append(head.substr(written));
-    const std::size_t body_done =
-        written > head.size() ? written - head.size() : 0;
-    if (body_done < body.size()) conn->owned.append(body.substr(body_done));
-    conn->park_data = conn->owned.data();
-    conn->park_len = conn->owned.size();
-    copied_sends_.fetch_add(1, std::memory_order_relaxed);
-    copied_bytes_.fetch_add(static_cast<std::int64_t>(remaining),
-                            std::memory_order_relaxed);
-  }
-  conn->send_pending = true;
-  SyncMask(conn);
-}
-
 void IoBackend::FlushParked(Conn* conn) {
   while (conn->park_len > 0) {
     CountSyscall();
@@ -326,14 +292,12 @@ void IoBackend::FlushParked(Conn* conn) {
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
     conn->send_pending = false;
-    conn->pin.reset();
     conn->park_data = nullptr;
     conn->park_len = 0;
     events_->OnSendError(conn->token);
     return;
   }
   conn->send_pending = false;
-  conn->pin.reset();
   conn->owned.clear();
   conn->park_data = nullptr;
   SyncMask(conn);

@@ -1,5 +1,5 @@
 // The reactor's transport: a level-triggered epoll loop that does the
-// accept4()/read()/writev() calls itself and reports what happened through
+// accept4()/read()/write() calls itself and reports what happened through
 // a callback interface, so the HTTP serving core never reads or writes a
 // socket on the reactor thread.  See DESIGN.md §14.
 //
@@ -13,8 +13,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -66,18 +64,20 @@ class IoBackend {
   };
 
   /// Transport counters, aggregated into /stats and the bench reports so
-  /// the zero-copy and syscall claims are measured numbers.  Relaxed
+  /// the syscall and coalescing claims are measured numbers.  Relaxed
   /// atomics underneath; safe to read from any thread.
   struct Stats {
     /// Every syscall the backend issued (epoll_wait/ctl, accept4, read,
-    /// write, writev, eventfd reads, ...).
+    /// write, eventfd reads, ...).
     std::int64_t syscalls = 0;
-    /// Send() calls whose bytes left user space without any intermediate
-    /// user-space copy (written straight from the caller's buffers, or
-    /// parked in place inside a pinned cache entry).
-    std::int64_t zero_copy_sends = 0;
-    /// Send() calls that copied an unsent tail of volatile scratch into
-    /// backend-owned storage (parked slow-reader tails).
+    /// Send() calls whose every byte was written before Send() returned
+    /// (nothing parked).
+    std::int64_t direct_sends = 0;
+    /// Responses that went out in one Send() behind an earlier response
+    /// of the same call: a Send() carrying n responses adds n - 1.
+    std::int64_t coalesced_responses = 0;
+    /// Send() calls that copied an unsent tail into backend-owned storage
+    /// (parked slow-reader tails).
     std::int64_t copied_sends = 0;
     /// Bytes that went through such a copy.
     std::int64_t copied_bytes = 0;
@@ -111,16 +111,13 @@ class IoBackend {
   /// Re-arms the receive path after SuspendRecv.  Idempotent.
   void ResumeRecv(void* handle);
 
-  /// Writes head then body on the connection, never blocking the reactor:
-  /// whatever the socket cannot take now is parked and finished when it
-  /// becomes writable (kPending).  `pin`, when non-null, keeps the
-  /// underlying buffer alive until the send completes — the cached-response
-  /// path passes the cache entry so a parked tail stays in place with no
-  /// copy even if the epoch advances mid-send.  Without a pin the buffers
-  /// are treated as volatile (reactor scratch): any unsent tail is copied
-  /// into backend-owned storage before Send returns.
-  SendResult Send(void* handle, std::string_view head, std::string_view body,
-                  const std::shared_ptr<const std::string>* pin);
+  /// Writes `data`, which holds `responses` whole responses (or the tail
+  /// of one), on the connection without ever blocking the reactor:
+  /// whatever the socket cannot take now is copied into backend-owned
+  /// storage before Send returns, so the caller may reuse its buffer at
+  /// once, and is finished when the socket becomes writable (kPending).
+  SendResult Send(void* handle, std::string_view data,
+                  std::int64_t responses);
 
   /// True while a kPending send has not yet drained.
   bool HasPendingSend(const void* handle) const;
@@ -146,9 +143,6 @@ class IoBackend {
   void HandleAccept();
   void HandleWake();
   void HandleReadable(Conn* conn);
-  void ParkTail(Conn* conn, std::string_view head, std::string_view body,
-                std::size_t written,
-                const std::shared_ptr<const std::string>* pin);
   void FlushParked(Conn* conn);
   void ReapClosed();
 
@@ -163,7 +157,8 @@ class IoBackend {
   std::vector<Conn*> closed_;
 
   std::atomic<std::int64_t> syscalls_{0};
-  std::atomic<std::int64_t> zero_copy_sends_{0};
+  std::atomic<std::int64_t> direct_sends_{0};
+  std::atomic<std::int64_t> coalesced_responses_{0};
   std::atomic<std::int64_t> copied_sends_{0};
   std::atomic<std::int64_t> copied_bytes_{0};
   std::atomic<std::int64_t> bytes_sent_{0};

@@ -110,7 +110,7 @@ void ResponseCache::Store(std::string_view scope, std::uint64_t epoch,
   const auto it = entries_.find(key);
   if (it != entries_.end()) {
     // Overwrite in place: the stale (or racing) incarnation's bytes stay
-    // alive for any in-flight pinned send via its shared_ptr.
+    // alive for any LookupPinned() holder via its shared_ptr.
     it->second.wire = std::make_shared<const std::string>(std::move(wire));
     it->second.epoch = epoch;
     it->second.scope_id = scope_id;

@@ -56,9 +56,10 @@ struct ResponseCacheOptions {
 ///
 /// The hit path does not allocate: BuildKey() appends into an internal
 /// buffer whose capacity persists across requests, the map probes use
-/// C++20 heterogeneous lookup on string_view keys, and the returned
-/// buffer is written to the socket in place.  (Verified by the
-/// allocation-counting unit test in tests/server/response_cache_test.cc.)
+/// C++20 heterogeneous lookup on string_view keys, and the reactor copies
+/// the returned bytes into its connection buffer, whose capacity persists
+/// too.  (Verified by the allocation-counting unit test in
+/// tests/server/response_cache_test.cc.)
 class ResponseCache {
  public:
   explicit ResponseCache(const ResponseCacheOptions& options = {})
@@ -97,11 +98,10 @@ class ResponseCache {
   const std::string* Lookup(std::string_view scope, std::uint64_t epoch,
                             std::string_view key);
 
-  /// Lookup() variant returning the entry's shared_ptr cell so the caller
-  /// can pin the wire bytes across an asynchronous send: an IoBackend
-  /// holding a copy of the shared_ptr keeps the buffer alive even if the
-  /// entry is overwritten or evicted mid-send.  Copying the shared_ptr is
-  /// refcount-only — the hit path stays allocation-free.  The returned
+  /// Lookup() variant returning the entry's shared_ptr cell: a caller
+  /// holding a copy of the shared_ptr keeps the wire bytes alive even if
+  /// the entry is overwritten or evicted.  Copying the shared_ptr is
+  /// refcount-only, so the hit path stays allocation-free.  The returned
   /// pointer itself is valid until the next Store() on this instance.
   const std::shared_ptr<const std::string>* LookupPinned(
       std::string_view scope, std::uint64_t epoch, std::string_view key);
@@ -160,8 +160,8 @@ class ResponseCache {
   };
 
   struct Entry {
-    /// shared_ptr so an in-flight async send can outlive an overwrite or
-    /// eviction (see LookupPinned).
+    /// shared_ptr so a holder can outlive an overwrite or eviction (see
+    /// LookupPinned).
     std::shared_ptr<const std::string> wire;
     /// Scope epoch the bytes were rendered under.
     std::uint64_t epoch = 0;

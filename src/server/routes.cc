@@ -348,7 +348,8 @@ void RegisterServingRoutes(HttpServer& server, ServingEngine& engine,
         w.Key("reactors_pinned").Int(http.reactors_pinned);
         w.Key("io").BeginObject();
         w.Key("syscalls").Int(http.io.syscalls);
-        w.Key("zero_copy_sends").Int(http.io.zero_copy_sends);
+        w.Key("direct_sends").Int(http.io.direct_sends);
+        w.Key("coalesced_responses").Int(http.io.coalesced_responses);
         w.Key("copied_sends").Int(http.io.copied_sends);
         w.Key("copied_bytes").Int(http.io.copied_bytes);
         w.Key("bytes_sent").Int(http.io.bytes_sent);

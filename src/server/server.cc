@@ -21,6 +21,16 @@ namespace {
 
 enum class WriteNow { kDone, kTail, kError };
 
+/// Inline responses buffered past this many bytes are sent before the next
+/// request is served, which bounds a connection's output buffer to this
+/// plus one response.
+constexpr std::size_t kMaxBufferedOutput = 64 * 1024;
+
+void AppendResponse(const HttpResponse& response, std::string* out) {
+  response.SerializeHeadInto(out);
+  out->append(response.body);
+}
+
 /// Nonblocking vectored write used by worker threads: sends what the
 /// socket accepts right now and collects any unsent remainder into *tail
 /// for the owning reactor's backend to finish — the worker never blocks on
@@ -70,6 +80,7 @@ HttpServer::HttpServer(const HttpServerOptions& options) : options_(options) {
   if (options_.workers < 1) options_.workers = 1;
   limits_.max_header_bytes = options_.max_header_bytes;
   limits_.max_body_bytes = options_.max_body_bytes;
+  queue_ring_.resize(options_.queue_capacity);
 }
 
 HttpServer::~HttpServer() {
@@ -264,7 +275,8 @@ HttpServer::ServerStats HttpServer::Stats() const {
     }
     const IoBackend::Stats io = reactor->backend.GetStats();
     stats.io.syscalls += io.syscalls;
-    stats.io.zero_copy_sends += io.zero_copy_sends;
+    stats.io.direct_sends += io.direct_sends;
+    stats.io.coalesced_responses += io.coalesced_responses;
     stats.io.copied_sends += io.copied_sends;
     stats.io.copied_bytes += io.copied_bytes;
     stats.io.bytes_sent += io.bytes_sent;
@@ -272,7 +284,7 @@ HttpServer::ServerStats HttpServer::Stats() const {
   }
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    stats.queue_depth = queue_.size();
+    stats.queue_depth = queue_size_;
   }
   return stats;
 }
@@ -311,7 +323,7 @@ void HttpServer::IoLoop(Reactor& reactor) {
       bool queue_empty;
       {
         std::lock_guard<std::mutex> lock(queue_mutex_);
-        queue_empty = queue_.empty();
+        queue_empty = queue_size_ == 0;
         if (queue_empty) queue_closed_ = true;
       }
       if (queue_empty) {
@@ -354,20 +366,10 @@ void HttpServer::OnAccept(Reactor& reactor, int fd) {
 
 bool HttpServer::OnRecv(Reactor& reactor, Connection* conn,
                         std::string_view data) {
-  const auto state = conn->parser.Feed(data);
-  if (state == HttpRequestParser::State::kComplete) {
-    return DrainParsed(reactor, conn);
+  if (conn->parser.Feed(data) == HttpRequestParser::State::kNeedMore) {
+    return true;  // need more bytes; nothing is buffered to send
   }
-  if (state == HttpRequestParser::State::kError) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    HttpResponse response;
-    response.status_code = 400;
-    response.keep_alive = false;
-    response.body = "{\"error\":\"" + conn->parser.error() + "\"}";
-    SendControl(reactor, conn, response);
-    return false;
-  }
-  return true;  // need more bytes
+  return DrainParsed(reactor, conn);
 }
 
 void HttpServer::OnSendDrained(Reactor& reactor, Connection* conn) {
@@ -385,19 +387,18 @@ void HttpServer::OnSendDrained(Reactor& reactor, Connection* conn) {
 bool HttpServer::DrainParsed(Reactor& reactor, Connection* conn) {
   for (;;) {
     const auto state = conn->parser.Reparse();
+    if (state == HttpRequestParser::State::kNeedMore) {
+      // No complete request left: every response this read produced goes
+      // out in one write.
+      return FinishSend(reactor, conn, /*keep_alive=*/true);
+    }
     if (state == HttpRequestParser::State::kError) {
       bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      HttpResponse response;
-      response.status_code = 400;
-      response.keep_alive = false;
-      response.body = "{\"error\":\"" + conn->parser.error() + "\"}";
-      SendControl(reactor, conn, response);
+      SendControl(reactor, conn, 400,
+                  "{\"error\":\"" + conn->parser.error() + "\"}");
       return false;
     }
-    if (state != HttpRequestParser::State::kComplete) return true;
-    if (!HandleParsedRequest(reactor, conn, conn->parser.TakeRequest())) {
-      return false;
-    }
+    if (!HandleParsedRequest(reactor, conn)) return false;
   }
 }
 
@@ -426,32 +427,37 @@ void HttpServer::FindRoute(std::string_view method, std::string_view path,
   }
 }
 
-bool HttpServer::HandleParsedRequest(Reactor& reactor, Connection* conn,
-                                     HttpRequest request) {
+bool HttpServer::HandleParsedRequest(Reactor& reactor, Connection* conn) {
   const RouteEntry* route = nullptr;
   bool path_known = false;
-  FindRoute(request.method, request.path, &route, &path_known);
+  {
+    const HttpRequest& next = conn->parser.PeekRequest();
+    FindRoute(next.method, next.path, &route, &path_known);
+  }
 
   // Read path (and 404/405): run to completion on this reactor — no queue
   // hop, no shedding (inline work is bounded by the synopsis, not the
   // base data).
   if (route == nullptr || route->run_inline) {
+    const HttpRequest request = conn->parser.TakeRequest();
     return ServeInline(reactor, conn, route, path_known, request);
   }
 
-  // Mutating route: hand the connection to the worker pool, or shed.  The
-  // WorkItem carries a fixed-size copy of the request views; the parser
-  // storage they point into stays untouched (receive delivery is
-  // suspended) until the worker pushes its rearm.
+  // Mutating route.  The worker writes its response straight to the
+  // socket, so the responses buffered ahead of it go first; if they park,
+  // the request stays in the parser and OnSendDrained() dispatches it.
+  if (!FinishSend(reactor, conn, /*keep_alive=*/true)) return false;
+
+  // Hand the connection to the worker pool, or shed.  The request stays
+  // in the connection; the parser storage its views point into stays
+  // untouched (receive delivery is suspended) until the worker pushes its
+  // rearm.
   reactor.backend.SuspendRecv(conn->io);
-  WorkItem item;
-  item.conn = conn;
-  item.request = request;
-  item.route = route;
+  conn->request = conn->parser.TakeRequest();
   bool shed = false;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (queue_closed_ || queue_.size() >= options_.queue_capacity) {
+    if (queue_closed_ || queue_size_ == queue_ring_.size()) {
       shed = true;
     } else {
       in_flight_.fetch_add(1, std::memory_order_acq_rel);
@@ -459,16 +465,15 @@ bool HttpServer::HandleParsedRequest(Reactor& reactor, Connection* conn,
       // write the response, and stats read after a received response
       // must already include it.
       requests_.fetch_add(1, std::memory_order_relaxed);
-      queue_.push_back(std::move(item));
+      queue_ring_[(queue_head_ + queue_size_) % queue_ring_.size()] = {conn,
+                                                                        route};
+      ++queue_size_;
     }
   }
   if (shed) {
     responses_503_.fetch_add(1, std::memory_order_relaxed);
-    HttpResponse response;
-    response.status_code = 503;
-    response.keep_alive = false;
-    response.body = "{\"error\":\"request queue full; retry with backoff\"}";
-    SendControl(reactor, conn, response);
+    SendControl(reactor, conn, 503,
+                "{\"error\":\"request queue full; retry with backoff\"}");
     return false;
   }
   queue_cv_.notify_one();
@@ -476,14 +481,21 @@ bool HttpServer::HandleParsedRequest(Reactor& reactor, Connection* conn,
 }
 
 bool HttpServer::FinishSend(Reactor& reactor, Connection* conn,
-                            IoBackend::SendResult result, bool keep_alive) {
+                            bool keep_alive) {
+  IoBackend::SendResult result = IoBackend::SendResult::kDone;
+  if (!conn->out.empty()) {
+    result = reactor.backend.Send(conn->io, conn->out, conn->out_responses);
+    // Send() copied any unsent tail, so the buffer is free again.
+    conn->out.clear();
+    conn->out_responses = 0;
+  }
   if (result == IoBackend::SendResult::kError) {
     CloseConnection(reactor, conn);
     return false;
   }
   if (result == IoBackend::SendResult::kPending) {
     // Backpressure: no new request is read for this connection while its
-    // response is still leaving — the parser cannot grow unboundedly
+    // responses are still leaving — the parser cannot grow unboundedly
     // behind a reader that never drains.
     conn->close_after_send = !keep_alive;
     reactor.backend.SuspendRecv(conn->io);
@@ -534,81 +546,71 @@ bool HttpServer::ServeInline(Reactor& reactor, Connection* conn,
   } else if (cacheable) {
     key = reactor.cache.BuildKey(request);
   }
-  if (cacheable) {
-    if (const std::shared_ptr<const std::string>* pinned =
-            reactor.cache.LookupPinned(scope, epoch, key)) {
-      // Hit: replay the stored bytes verbatim — no handler, no snapshot
-      // pin, no allocation.  The entry itself is handed to the backend,
-      // which writes from it in place and pins it only if a tail parks,
-      // so a slow reader's tail survives an epoch advance with no copy.
-      const std::string& wire = **pinned;
-      return FinishSend(reactor, conn,
-                        reactor.backend.Send(conn->io, wire, {}, pinned),
-                        request.keep_alive);
-    }
-  }
-
-  // Render into the reactor's scratch response and serialize the head into
-  // the reactor's scratch head buffer: both keep their capacity across
-  // requests, so the warmed cold path never allocates.
-  HttpResponse& response = reactor.response_scratch;
-  response.Reset();
-  if (route != nullptr) {
-    route->handler(request, &response);
+  bool keep_alive = request.keep_alive;
+  const std::string* hit =
+      cacheable ? reactor.cache.Lookup(scope, epoch, key) : nullptr;
+  if (hit != nullptr) {
+    // Hit: replay the stored bytes verbatim — no handler, no snapshot
+    // pin, no allocation.
+    conn->out.append(*hit);
   } else {
-    response.status_code = path_known ? 405 : 404;
-    response.body = path_known ? "{\"error\":\"method not allowed\"}"
-                               : "{\"error\":\"no such endpoint\"}";
-  }
-  response.keep_alive = response.keep_alive && request.keep_alive;
+    // Render into the reactor's scratch response, which keeps its
+    // capacity across requests, so the warmed cold path never allocates.
+    HttpResponse& response = reactor.response_scratch;
+    response.Reset();
+    if (route != nullptr) {
+      route->handler(request, &response);
+    } else {
+      response.status_code = path_known ? 405 : 404;
+      response.body = path_known ? "{\"error\":\"method not allowed\"}"
+                                 : "{\"error\":\"no such endpoint\"}";
+    }
+    response.keep_alive = response.keep_alive && request.keep_alive;
+    keep_alive = response.keep_alive;
+    const std::size_t start = conn->out.size();
+    AppendResponse(response, &conn->out);
 
-  std::string& head = reactor.head_scratch;
-  head.clear();
-  response.SerializeHeadInto(&head);
-  // The scratch buffers are volatile: if the socket cannot take every
-  // byte now, the backend copies the tail before returning (the scratch
-  // is reused by the very next request).
-  const IoBackend::SendResult sent =
-      reactor.backend.Send(conn->io, head, response.body, nullptr);
-
-  if (cacheable && response.status_code == 200 &&
-      response.keep_alive == request.keep_alive) {
-    // Store only when the epoch did not move while the handler ran: equal
-    // bracketing reads of the scope's monotonic serving epoch prove every
-    // snapshot the handler saw belonged to that epoch, so the
-    // bytes are valid for the whole epoch (byte-identical replay).
-    // Pinning the entry builds the contiguous wire string — the one
-    // deliberate allocation on this path, paid once per (scope, epoch,
-    // key), amortized across every later hit.
-    const std::optional<RouteOptions::ScopedEpoch> epoch_after =
-        route->scoped_epoch(request);
-    if (epoch_after.has_value() && epoch_after->scope == scope &&
-        epoch_after->epoch == epoch) {
-      std::string wire;
-      wire.reserve(head.size() + response.body.size());
-      wire.append(head);
-      wire.append(response.body);
-      reactor.cache.Store(scope, epoch, key, std::move(wire));
+    if (cacheable && response.status_code == 200 &&
+        response.keep_alive == request.keep_alive) {
+      // Store only when the epoch did not move while the handler ran:
+      // equal bracketing reads of the scope's monotonic serving epoch
+      // prove every snapshot the handler saw belonged to that epoch, so
+      // the bytes are valid for the whole epoch (byte-identical replay).
+      // Copying the wire out of the buffer is the one deliberate
+      // allocation on this path, paid once per (scope, epoch, key),
+      // amortized across every later hit.
+      const std::optional<RouteOptions::ScopedEpoch> epoch_after =
+          route->scoped_epoch(request);
+      if (epoch_after.has_value() && epoch_after->scope == scope &&
+          epoch_after->epoch == epoch) {
+        reactor.cache.Store(scope, epoch, key, conn->out.substr(start));
+      }
     }
   }
+  ++conn->out_responses;
 
-  return FinishSend(reactor, conn, sent, response.keep_alive);
+  // Send early when the connection closes after this response, or when
+  // the buffer reaches its cap; otherwise the next request's response
+  // joins this one.
+  if (!keep_alive || conn->out.size() >= kMaxBufferedOutput) {
+    return FinishSend(reactor, conn, keep_alive);
+  }
+  return true;
 }
 
 void HttpServer::ProcessRearms(Reactor& reactor) {
-  std::vector<RearmItem> items;
   {
     std::lock_guard<std::mutex> lock(reactor.rearm_mutex);
-    items.swap(reactor.rearms);
+    reactor.rearms_draining.swap(reactor.rearms);
   }
-  for (RearmItem& item : items) {
+  for (RearmItem& item : reactor.rearms_draining) {
     Connection* conn = item.conn;
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     if (item.has_pending) {
       // The worker's nonblocking write left a tail; finish it through the
       // backend (still delivering the response even when draining).
       const IoBackend::SendResult sent =
-          reactor.backend.Send(conn->io, item.pending_wire, {}, nullptr);
+          reactor.backend.Send(conn->io, item.pending_wire, 1);
       if (sent == IoBackend::SendResult::kError) {
         CloseConnection(reactor, conn);
         continue;
@@ -628,6 +630,7 @@ void HttpServer::ProcessRearms(Reactor& reactor) {
     if (!DrainParsed(reactor, conn)) continue;
     reactor.backend.ResumeRecv(conn->io);
   }
+  reactor.rearms_draining.clear();
 }
 
 void HttpServer::CloseConnection(Reactor& reactor, Connection* conn) {
@@ -641,17 +644,15 @@ void HttpServer::CloseConnection(Reactor& reactor, Connection* conn) {
 }
 
 void HttpServer::SendControl(Reactor& reactor, Connection* conn,
-                             const HttpResponse& response) {
-  const std::string wire = response.Serialize();
-  const IoBackend::SendResult sent =
-      reactor.backend.Send(conn->io, wire, {}, nullptr);
-  if (sent == IoBackend::SendResult::kPending) {
-    conn->close_after_send = true;
-    reactor.backend.SuspendRecv(conn->io);
-    return;
-  }
+                             int status_code, std::string body) {
+  HttpResponse response;
+  response.status_code = status_code;
+  response.keep_alive = false;
+  response.body = std::move(body);
+  AppendResponse(response, &conn->out);
+  ++conn->out_responses;
   // Control responses (400/503) always close, drained or failed alike.
-  CloseConnection(reactor, conn);
+  FinishSend(reactor, conn, /*keep_alive=*/false);
 }
 
 void HttpServer::WorkerLoop() {
@@ -664,15 +665,17 @@ void HttpServer::WorkerLoop() {
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_cv_.wait(lock,
-                     [this] { return queue_closed_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // closed and drained
-      item = std::move(queue_.front());
-      queue_.pop_front();
+                     [this] { return queue_closed_ || queue_size_ > 0; });
+      if (queue_size_ == 0) return;  // closed and drained
+      item = queue_ring_[queue_head_];
+      queue_head_ = (queue_head_ + 1) % queue_ring_.size();
+      --queue_size_;
     }
 
+    const HttpRequest& request = item.conn->request;
     response.Reset();
-    item.route->handler(item.request, &response);
-    response.keep_alive = response.keep_alive && item.request.keep_alive;
+    item.route->handler(request, &response);
+    response.keep_alive = response.keep_alive && request.keep_alive;
 
     head.clear();
     response.SerializeHeadInto(&head);

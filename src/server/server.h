@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -105,15 +104,18 @@ struct RouteOptions {
 ///
 /// Read-path (inline) routes run to completion on the reactor — no queue
 /// hop, no cross-thread rearm — and may serve fully cached wire bytes via
-/// the per-reactor ResponseCache.  The reactor never blocks on a slow
-/// reader: a short write parks the unsent tail with the backend (EPOLLOUT
-/// rearm) and receive delivery stays suspended until it drains.  Mutating
-/// routes are handed to a shared bounded queue consumed by worker threads,
-/// which compute the response, write what the socket accepts without
-/// blocking, and return the connection (plus any unsent tail) to its
-/// owning reactor.  Keep-alive and pipelined requests are supported (a
-/// pipeline may interleave inline and worker requests); chunked uploads
-/// are not.
+/// the per-reactor ResponseCache.  Every inline response is appended to
+/// the connection's output buffer, and the buffer goes out in one Send()
+/// once the parser holds no further complete request, so a pipelined
+/// burst read in one read() is answered with one write.  The reactor never
+/// blocks on a slow reader: a short write parks the unsent tail with the
+/// backend (EPOLLOUT rearm) and receive delivery stays suspended until it
+/// drains.  Mutating routes are handed to a shared bounded queue consumed
+/// by worker threads, which compute the response, write what the socket
+/// accepts without blocking, and return the connection (plus any unsent
+/// tail) to its owning reactor.  Keep-alive and pipelined requests are
+/// supported (a pipeline may interleave inline and worker requests, and the
+/// responses keep request order); chunked uploads are not.
 ///
 /// Lifecycle: Route(...) then Start(); Shutdown() stops accepting, drains
 /// queued and in-flight requests, then joins every thread (graceful drain
@@ -124,8 +126,7 @@ class HttpServer {
   /// Out-param handler form: the server passes a Reset() response whose
   /// strings keep their capacity across requests, so a warmed handler
   /// renders without allocating.  The request's views are valid for the
-  /// duration of the call (and, for worker routes, until the rearm is
-  /// pushed).
+  /// duration of the call.
   using Handler = std::function<void(const HttpRequest&, HttpResponse*)>;
   /// Return-by-value convenience form (tests, simple endpoints); wrapped
   /// into a Handler at registration, paying one response copy per call.
@@ -214,6 +215,14 @@ class HttpServer {
     Reactor* owner = nullptr;
     /// Opaque per-connection handle from the reactor's IoBackend.
     void* io = nullptr;
+    /// Inline responses not yet sent, in request order, and how many
+    /// there are.  Keeps its capacity, so a warmed connection appends
+    /// without allocating.
+    std::string out;
+    std::int64_t out_responses = 0;
+    /// The request a worker is serving; its views point into `parser`,
+    /// which the reactor leaves alone until the worker's rearm.
+    HttpRequest request;
     /// Close once the pending backend send drains (write failure-free
     /// Connection: close, or a control response like 400/503).
     bool close_after_send = false;
@@ -221,9 +230,10 @@ class HttpServer {
         : fd(f), parser(limits), owner(r) {}
   };
 
+  /// A worker-routed request waiting in the queue; the request itself
+  /// stays in its Connection.
   struct WorkItem {
     Connection* conn = nullptr;
-    HttpRequest request;
     const RouteEntry* route = nullptr;
   };
 
@@ -254,14 +264,17 @@ class HttpServer {
     /// re-arm or close them.
     std::mutex rearm_mutex;
     std::vector<RearmItem> rearms;
+    /// Reactor-thread-owned: the batch ProcessRearms() works through.  It
+    /// trades places with `rearms` under the lock, so both vectors keep
+    /// their capacity and a warmed handoff never allocates or frees.
+    std::vector<RearmItem> rearms_draining;
     /// Reactor-local response cache: no shared locks on the hit path.
     ResponseCache cache;
     /// Render scratch reused across every inline request this reactor
-    /// serves: the response body and the serialized head keep their
-    /// capacity, so a warmed cold path (cache miss or uncacheable route)
-    /// writes the wire without touching the allocator.
+    /// serves: the response body keeps its capacity, so a warmed cold
+    /// path (cache miss or uncacheable route) renders without touching
+    /// the allocator.
     HttpResponse response_scratch;
-    std::string head_scratch;
     /// CPU this reactor's thread got pinned to, or -1.
     std::atomic<int> pinned_cpu{-1};
 
@@ -290,33 +303,34 @@ class HttpServer {
   bool OnRecv(Reactor& reactor, Connection* conn, std::string_view data);
   void OnSendDrained(Reactor& reactor, Connection* conn);
   /// Serves every already-parsed request on `conn` (inline routes run to
-  /// completion here; a worker route hands the connection off and stops).
-  /// Returns false when receive delivery must stop for now (connection
-  /// closed, dispatched to a worker, or a send parked).
+  /// completion here; a worker route hands the connection off and stops),
+  /// then sends the inline responses with one FinishSend().  Returns false
+  /// when receive delivery must stop for now (connection closed,
+  /// dispatched to a worker, or a send parked).
   bool DrainParsed(Reactor& reactor, Connection* conn);
-  /// Routes one parsed request: inline handling (with response cache) or
-  /// worker dispatch with 503 shedding.  Same return convention as
-  /// DrainParsed.
-  bool HandleParsedRequest(Reactor& reactor, Connection* conn,
-                           HttpRequest request);
-  /// Inline path: cache lookup, handler, backend send, store.  Same
-  /// return convention as DrainParsed.
+  /// Routes the parsed request the parser holds: inline handling (with
+  /// response cache), or, once the buffered responses are sent, worker
+  /// dispatch with 503 shedding.  Same return convention as DrainParsed.
+  bool HandleParsedRequest(Reactor& reactor, Connection* conn);
+  /// Inline path: cache lookup or handler, response appended to
+  /// `conn->out`, store; sends the buffer early on Connection: close or
+  /// at the size cap.  Same return convention as DrainParsed.
   bool ServeInline(Reactor& reactor, Connection* conn,
                    const RouteEntry* route, bool path_known,
                    const HttpRequest& request);
-  /// Folds a backend Send() result into connection state: closes on error
-  /// or Connection: close, suspends receive while a send is pending.
-  /// Same return convention as DrainParsed.
-  bool FinishSend(Reactor& reactor, Connection* conn,
-                  IoBackend::SendResult result, bool keep_alive);
+  /// Sends `conn->out` with one backend Send() and folds the result into
+  /// connection state: closes on error or when !keep_alive, suspends
+  /// receive while a send is pending.  Same return convention as
+  /// DrainParsed.
+  bool FinishSend(Reactor& reactor, Connection* conn, bool keep_alive);
   void FindRoute(std::string_view method, std::string_view path,
                  const RouteEntry** route, bool* path_known) const;
   void ProcessRearms(Reactor& reactor);
   void CloseConnection(Reactor& reactor, Connection* conn);
-  /// Sends a control response (400/503) through the backend and marks the
-  /// connection to close once it drains.
-  void SendControl(Reactor& reactor, Connection* conn,
-                   const HttpResponse& response);
+  /// Appends a control response (400/503) behind the buffered responses,
+  /// sends them, and closes the connection once they drain.
+  void SendControl(Reactor& reactor, Connection* conn, int status_code,
+                   std::string body);
   /// True when any connection on this reactor still has a parked send.
   bool AnyPendingSend(Reactor& reactor) const;
   void WorkerLoop();
@@ -331,10 +345,13 @@ class HttpServer {
   std::vector<std::thread> workers_;
 
   // Bounded request queue shared by all reactors (mutex + cv; closed on
-  // drain once empty).
+  // drain once empty): a fixed ring of queue_capacity slots holding
+  // queue_size_ items from queue_head_ on, so a push never allocates.
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
-  std::deque<WorkItem> queue_;
+  std::vector<WorkItem> queue_ring_;
+  std::size_t queue_head_ = 0;
+  std::size_t queue_size_ = 0;
   bool queue_closed_ = false;
 
   std::atomic<bool> stopping_{false};

@@ -119,7 +119,7 @@ TEST(SqlFrontendFuzzTest, MutatedCorpusIsCleanEitherWay) {
           text.insert(at, 1, static_cast<char>(rng.UniformInt(32, 126)));
           break;
       }
-      if (text.empty()) text = "x";
+      if (text.empty()) text.push_back('x');
     }
     ParseCounting(text);
   }

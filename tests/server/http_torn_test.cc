@@ -141,7 +141,7 @@ TEST(HttpTornReadTest, OverflowingFixedSlotsIsMalformed) {
   std::string many_params = "GET /q?";
   for (std::size_t i = 0; i <= HttpRequest::kMaxQueryParams; ++i) {
     if (i > 0) many_params.push_back('&');
-    many_params += "k" + std::to_string(i) + "=1";
+    many_params.append("k").append(std::to_string(i)).append("=1");
   }
   many_params += " HTTP/1.1\r\nHost: t\r\n\r\n";
   HttpRequestParser p1;
@@ -159,7 +159,7 @@ TEST(HttpTornReadTest, OverflowingFixedSlotsIsMalformed) {
   std::string at_limit = "GET /q?";
   for (std::size_t i = 0; i < HttpRequest::kMaxQueryParams; ++i) {
     if (i > 0) at_limit.push_back('&');
-    at_limit += "k" + std::to_string(i) + "=1";
+    at_limit.append("k").append(std::to_string(i)).append("=1");
   }
   at_limit += " HTTP/1.1\r\nHost: t\r\n\r\n";
   HttpRequestParser p3;

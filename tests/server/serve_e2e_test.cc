@@ -273,7 +273,7 @@ TEST(ServeE2eTest, PinnedReactorAndTransportCountersInStats) {
   EXPECT_NE(stats.body.find("\"reactors_pinned\":1"), std::string::npos)
       << stats.body;
   // The /healthz exchange already moved the transport counters.
-  for (const std::string counter : {"\"syscalls\":", "\"zero_copy_sends\":"}) {
+  for (const std::string counter : {"\"syscalls\":", "\"direct_sends\":"}) {
     EXPECT_NE(stats.body.find(counter), std::string::npos) << stats.body;
     EXPECT_EQ(stats.body.find(counter + "0,"), std::string::npos) << stats.body;
   }

@@ -8,7 +8,8 @@
 //
 // The first test sends every request with Cache-Control: no-cache, so each
 // measured request exercises the full cold render path; the cache hit path
-// has its own pins below and in response_cache_test.cc.  The client side
+// has its own pins below and in response_cache_test.cc, as do a pipelined
+// burst of cached GETs and the worker handoff of a POST.  The client side
 // of the loop is also allocation-free (prebuilt request strings, fixed read
 // buffer) so the counter isolates the serving path without thread
 // bookkeeping.
@@ -76,66 +77,71 @@ int ConnectTo(std::uint16_t port) {
   return fd;
 }
 
-/// Writes one prebuilt request and reads exactly one Content-Length-framed
-/// response into `buf`, allocation-free.  Returns the HTTP status code, or
-/// -1 on a short read / timeout / overflow.
-int RoundTrip(int fd, const std::string& wire, char* buf) {
-  if (write(fd, wire.data(), wire.size()) !=
-      static_cast<ssize_t>(wire.size())) {
-    return -1;
-  }
-  std::size_t have = 0;
+/// Length of the Content-Length-framed response at the start of
+/// `buf[0, have)`: 0 while it is incomplete, SIZE_MAX when its head has no
+/// Content-Length.  Allocation-free.
+std::size_t FramedLength(const char* buf, std::size_t have) {
   const char* blank = nullptr;
-  // Head first: read until the header terminator is in the buffer.
-  while (blank == nullptr) {
-    struct pollfd pfd = {fd, POLLIN, 0};
-    if (poll(&pfd, 1, 15000) <= 0) return -1;
-    const ssize_t n = read(fd, buf + have, kReadBufferBytes - have);
-    if (n <= 0) return -1;
-    have += static_cast<std::size_t>(n);
-    if (have >= kReadBufferBytes) return -1;
-    if (have >= 4) {
-      // memmem is glibc; a manual scan keeps this portable and alloc-free.
-      for (std::size_t at = 0; at + 4 <= have; ++at) {
-        if (std::memcmp(buf + at, "\r\n\r\n", 4) == 0) {
-          blank = buf + at;
-          break;
-        }
-      }
+  // memmem is glibc; a manual scan keeps this portable and alloc-free.
+  for (std::size_t at = 0; at + 4 <= have; ++at) {
+    if (std::memcmp(buf + at, "\r\n\r\n", 4) == 0) {
+      blank = buf + at;
+      break;
     }
   }
+  if (blank == nullptr) return 0;
   // The server always writes an exact-case Content-Length header.
   constexpr char kKey[] = "Content-Length:";
   constexpr std::size_t kKeyLen = sizeof(kKey) - 1;
-  std::size_t content_length = 0;
-  bool found = false;
   const std::size_t head_len = static_cast<std::size_t>(blank - buf);
   for (std::size_t at = 0; at + kKeyLen <= head_len; ++at) {
     if (std::memcmp(buf + at, kKey, kKeyLen) == 0) {
       std::size_t digit = at + kKeyLen;
+      std::size_t content_length = 0;
       while (digit < head_len && buf[digit] == ' ') ++digit;
       while (digit < head_len && buf[digit] >= '0' && buf[digit] <= '9') {
         content_length = content_length * 10 +
                          static_cast<std::size_t>(buf[digit] - '0');
         ++digit;
       }
-      found = true;
-      break;
+      const std::size_t total = head_len + 4 + content_length;
+      return total <= have ? total : 0;
     }
   }
-  if (!found) return -1;
-  const std::size_t total = head_len + 4 + content_length;
-  if (total > kReadBufferBytes) return -1;
-  while (have < total) {
-    struct pollfd pfd = {fd, POLLIN, 0};
-    if (poll(&pfd, 1, 15000) <= 0) return -1;
-    const ssize_t n = read(fd, buf + have, kReadBufferBytes - have);
-    if (n <= 0) return -1;
-    have += static_cast<std::size_t>(n);
+  return std::numeric_limits<std::size_t>::max();
+}
+
+/// Writes one prebuilt wire carrying `responses` pipelined requests and
+/// reads exactly that many Content-Length-framed responses into `buf`,
+/// allocation-free.  Returns 200 when every response is a 200, else the
+/// first other status, or -1 on a short read / timeout / overflow / bytes
+/// past the last response.
+int RoundTrip(int fd, const std::string& wire, char* buf, int responses = 1) {
+  if (write(fd, wire.data(), wire.size()) !=
+      static_cast<ssize_t>(wire.size())) {
+    return -1;
   }
-  if (have != total) return -1;  // pipelined bytes would mean a bug here
-  if (std::memcmp(buf, "HTTP/1.1 ", 9) != 0) return -1;
-  return (buf[9] - '0') * 100 + (buf[10] - '0') * 10 + (buf[11] - '0');
+  std::size_t have = 0;
+  std::size_t at = 0;  // start of the next response in buf
+  int status = 200;
+  for (int r = 0; r < responses; ++r) {
+    std::size_t total = 0;
+    while ((total = FramedLength(buf + at, have - at)) == 0) {
+      if (have >= kReadBufferBytes) return -1;
+      struct pollfd pfd = {fd, POLLIN, 0};
+      if (poll(&pfd, 1, 15000) <= 0) return -1;
+      const ssize_t n = read(fd, buf + have, kReadBufferBytes - have);
+      if (n <= 0) return -1;
+      have += static_cast<std::size_t>(n);
+    }
+    if (total == std::numeric_limits<std::size_t>::max()) return -1;
+    if (std::memcmp(buf + at, "HTTP/1.1 ", 9) != 0) return -1;
+    const int code = (buf[at + 9] - '0') * 100 + (buf[at + 10] - '0') * 10 +
+                     (buf[at + 11] - '0');
+    if (status == 200) status = code;
+    at += total;
+  }
+  return have == at ? status : -1;  // extra bytes would mean a bug here
 }
 
 std::string KeepAliveGet(const std::string& target) {
@@ -334,6 +340,120 @@ TEST(ZeroAllocServing, CachedHitPathIsAllocationFree) {
   const HttpServer::ServerStats stats = server.Stats();
   EXPECT_GE(stats.cache_hits - warm.cache_hits,
             static_cast<std::int64_t>(targets.size()) * kMeasuredRounds);
+
+  close(fd);
+  server.Shutdown();
+}
+
+TEST(ZeroAllocServing, PipelinedCachedGetsAllocateNothingAndShareOneWrite) {
+  // Five cached GETs written at once, as perfbench's freshness probes send
+  // them: the reactor answers all five from the response cache into the
+  // connection's buffer and sends them with one write.
+  ServingEngineOptions engine_options;
+  engine_options.shards = 2;
+  engine_options.cache_max_stale_ops =
+      std::numeric_limits<std::int64_t>::max();
+  engine_options.cache_max_stale_interval = std::chrono::hours(24);
+  ServingEngine engine(engine_options);
+  std::vector<Value> values;
+  values.reserve(10000);
+  for (int i = 0; i < 10000; ++i) values.push_back(i % 53);
+  engine.InsertBatch(values);
+
+  HttpServerOptions server_options;
+  server_options.reactors = 1;
+  server_options.workers = 1;
+  HttpServer server(server_options);
+  RegisterServingRoutes(server, engine);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kDepth = 5;
+  std::string burst;
+  for (int i = 0; i < kDepth; ++i) {
+    burst += KeepAliveGet("/frequency?value=" + std::to_string(i));
+  }
+
+  static char buf[kReadBufferBytes];
+  const int fd = ConnectTo(server.port());
+  ASSERT_GE(fd, 0);
+  for (int round = 0; round < 5; ++round) {
+    ASSERT_EQ(RoundTrip(fd, burst, buf, kDepth), 200) << "warm-up";
+  }
+
+  const HttpServer::ServerStats warm = server.Stats();
+  constexpr int kBursts = 20;
+  const std::int64_t before = g_allocations.load(std::memory_order_relaxed);
+  int bad_status = 0;
+  for (int round = 0; round < kBursts; ++round) {
+    const int status = RoundTrip(fd, burst, buf, kDepth);
+    if (status != 200 && bad_status == 0) bad_status = status;
+  }
+  const std::int64_t delta =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(bad_status, 0);
+  EXPECT_EQ(delta, 0) << "allocated " << delta << " times over " << kBursts
+                      << " cached pipelines";
+
+  // The reactor counts a send after its write returns, which may be after
+  // the client read the responses: wait for the last one to land.
+  HttpServer::ServerStats stats = server.Stats();
+  for (int spin = 0;
+       spin < 1000 && stats.io.direct_sends - warm.io.direct_sends < kBursts;
+       ++spin) {
+    usleep(1000);
+    stats = server.Stats();
+  }
+  EXPECT_GE(stats.cache_hits - warm.cache_hits, kBursts * kDepth);
+  // One write per burst, which the other four responses shared.
+  EXPECT_EQ(stats.io.direct_sends - warm.io.direct_sends, kBursts);
+  EXPECT_EQ(stats.io.coalesced_responses - warm.io.coalesced_responses,
+            kBursts * (kDepth - 1));
+  // read + write + epoll_wait per burst, plus an epoll_wait per 100 ms
+  // poll timeout; a write per response would be 7 per burst.
+  EXPECT_LE(stats.io.syscalls - warm.io.syscalls, 4 * kBursts);
+
+  close(fd);
+  server.Shutdown();
+}
+
+TEST(ZeroAllocServing, WarmWorkerHandoffAllocatesNothing) {
+  // A worker-routed POST crosses two queues: reactor -> worker (the
+  // request stays in its connection; the queue holds a pointer and the
+  // route) and worker -> reactor (the rearm).  Once warm, neither
+  // allocates, so a handler that does not allocate is served with none.
+  HttpServerOptions server_options;
+  server_options.reactors = 1;
+  server_options.workers = 1;
+  HttpServer server(server_options);
+  server.Route("POST", "/ack",
+               [](const HttpRequest& request, HttpResponse* response) {
+                 response->body.append(request.body);
+               });
+  ASSERT_TRUE(server.Start().ok());
+
+  const std::string wire =
+      "POST /ack HTTP/1.1\r\nHost: t\r\nContent-Length: 7\r\n\r\n[1,2,3]";
+  static char buf[kReadBufferBytes];
+  const int fd = ConnectTo(server.port());
+  ASSERT_GE(fd, 0);
+  for (int round = 0; round < 10; ++round) {
+    ASSERT_EQ(RoundTrip(fd, wire, buf), 200) << "warm-up";
+  }
+
+  const HttpServer::ServerStats warm = server.Stats();
+  constexpr int kRequests = 50;
+  const std::int64_t before = g_allocations.load(std::memory_order_relaxed);
+  int bad_status = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    const int status = RoundTrip(fd, wire, buf);
+    if (status != 200 && bad_status == 0) bad_status = status;
+  }
+  const std::int64_t delta =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(bad_status, 0);
+  EXPECT_EQ(delta, 0) << "allocated " << delta << " times over " << kRequests
+                      << " worker-routed requests";
+  EXPECT_EQ(server.Stats().requests - warm.requests, kRequests);
 
   close(fd);
   server.Shutdown();
