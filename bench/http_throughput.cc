@@ -91,8 +91,9 @@ bool CacheHitMicro(BenchReport* report) {
   parser.Feed(
       "GET /hotlist?k=10&beta=3&confidence=0.95 HTTP/1.1\r\nHost: b\r\n\r\n");
   const HttpRequest request = parser.TakeRequest();
-  cache.Store(1, cache.BuildKey(request), std::string(512, 'x'));
-  (void)cache.Lookup(1, cache.BuildKey(request));  // warm the key buffer
+  cache.Store("hotlist", 1, cache.BuildKey(request), std::string(512, 'x'));
+  // Warm the key buffer.
+  (void)cache.Lookup("hotlist", 1, cache.BuildKey(request));
 
   const std::int64_t iters = SmokeMode() ? 20000 : 2000000;
   const std::int64_t allocs_before =
@@ -100,7 +101,9 @@ bool CacheHitMicro(BenchReport* report) {
   const std::int64_t start = NowNs();
   std::int64_t hits = 0;
   for (std::int64_t i = 0; i < iters; ++i) {
-    if (cache.Lookup(1, cache.BuildKey(request)) != nullptr) ++hits;
+    if (cache.Lookup("hotlist", 1, cache.BuildKey(request)) != nullptr) {
+      ++hits;
+    }
   }
   const std::int64_t end = NowNs();
   const double elapsed_s = static_cast<double>(end - start) / 1e9;
@@ -142,23 +145,20 @@ void ServerScenario(const std::string& name, int reactors, int threads,
     };
   }
   server.Route("GET", "/answer",
-               [](const HttpRequest& request) {
+               [](const HttpRequest& request, HttpResponse* response) {
                  // A render comparable to a real synopsis answer: walk the
                  // parsed query and emit a ~400-byte JSON body.
-                 HttpResponse response;
-                 response.body.reserve(420);
-                 response.body = "{\"items\":[";
+                 std::string& body = response->body;
+                 body = "{\"items\":[";
                  for (int i = 0; i < 24; ++i) {
-                   if (i > 0) response.body += ",";
-                   response.body += "{\"v\":" + std::to_string(i * 37) +
-                                    ",\"c\":" + std::to_string(1000 - i) +
-                                    "}";
+                   if (i > 0) body += ",";
+                   body += "{\"v\":" + std::to_string(i * 37) +
+                           ",\"c\":" + std::to_string(1000 - i) + "}";
                  }
-                 response.body += "],\"k\":";
+                 body += "],\"k\":";
                  const auto k = request.QueryParam("k");
-                 response.body += k.has_value() ? std::string(*k) : "0";
-                 response.body += "}";
-                 return response;
+                 body += k.has_value() ? std::string(*k) : "0";
+                 body += "}";
                },
                cacheable);
   if (!server.Start().ok()) {
@@ -173,8 +173,8 @@ void ServerScenario(const std::string& name, int reactors, int threads,
   server.Shutdown();
 
   const LatencySummary summary = Summarize(load.samples_ns, load.elapsed_s);
-  // Stats() after Shutdown: the IO counters are aggregated from the
-  // reactors' transports, which outlive their threads.
+  // Stats() after Shutdown: the IO counters live in the reactors, which
+  // outlive their threads.
   const HttpServer::ServerStats stats = server.Stats();
   const double requests = stats.requests > 0
                               ? static_cast<double>(stats.requests)
@@ -242,11 +242,8 @@ bool ScrapeInt(const std::string& body, const std::string& key,
 /// -DAQUA_COUNT_GLOBAL_ALLOCS=ON, samples /stats `allocs_total` around a
 /// warmed GET window on one keep-alive connection and fails on any delta.
 /// The window mixes cache hits (repeated cacheable queries) and cold
-/// renders (/stats is never cached), so both paths are covered.  The
-/// server must run with staleness bounds beyond the window (CI passes
-/// --cache-stale-ms 3600000) or idle snapshot refreshes would re-merge —
-/// a real, separately-budgeted allocation that is not part of the wire
-/// path.  Skips (rc 0) when the server reports alloc_counting=false.
+/// renders (/stats is never cached), so both paths are covered.  Skips
+/// (rc 0) when the server reports alloc_counting=false.
 int AllocsPerRequestCheck(std::uint16_t port, BenchReport* report) {
   const int fd = ConnectTo(port);
   if (fd < 0) {

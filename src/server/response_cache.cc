@@ -37,26 +37,19 @@ bool ResponseCache::BuildKeyWith(
 std::uint32_t ResponseCache::NoteScope(std::string_view scope,
                                        std::uint64_t epoch) {
   const auto it = scope_ids_.find(scope);
-  std::uint32_t id;
   if (it == scope_ids_.end()) {
-    id = static_cast<std::uint32_t>(scope_epochs_.size());
+    const auto id = static_cast<std::uint32_t>(scope_epochs_.size());
     scope_ids_.emplace(std::string(scope), id);
     scope_epochs_.push_back(epoch);
-    scope_seen_.push_back(1);
     return id;
   }
-  id = it->second;
+  const std::uint32_t id = it->second;
   // An older epoch can only be observed across an epoch-source read race;
   // treat any change as an advance — correctness needs only that entries
-  // rendered under a different epoch of this scope never replay.  The
-  // first observation of an eagerly-interned scope (the default scope, see
-  // the constructor) is an interning, not an advance: nothing could have
-  // been cached under it yet, so it does not count as an invalidation.
-  const bool seen = scope_seen_[id] != 0;
-  scope_seen_[id] = 1;
+  // rendered under a different epoch of this scope never replay.
   if (scope_epochs_[id] != epoch) {
     scope_epochs_[id] = epoch;
-    if (seen) invalidations_.fetch_add(1, std::memory_order_relaxed);
+    invalidations_.fetch_add(1, std::memory_order_relaxed);
   }
   return id;
 }

@@ -45,10 +45,7 @@ struct ResponseCacheOptions {
 /// B's warmed entries (and their zero-alloc hit paths) intact.  Stale
 /// entries are reclaimed lazily: a Store() on the same key overwrites in
 /// place, and a Store() at the entry cap sweeps everything stale before
-/// giving up.  Scopes are interned once (first occurrence allocates); the
-/// legacy two-argument Lookup/Store forms use the default "" scope, which
-/// reproduces the old process-wide behavior for callers with one epoch
-/// domain.
+/// giving up.  Scopes are interned once (first occurrence allocates).
 ///
 /// Thread model: one instance per reactor, owned and accessed by that
 /// reactor thread only — no locks anywhere.  The counters are relaxed
@@ -63,14 +60,7 @@ struct ResponseCacheOptions {
 class ResponseCache {
  public:
   explicit ResponseCache(const ResponseCacheOptions& options = {})
-      : options_(options) {
-    // Intern the default scope eagerly so the legacy two-argument forms
-    // never allocate on their hit path.  Not yet "seen": its first
-    // observed epoch is an interning, not an invalidation (see NoteScope).
-    scope_ids_.emplace(std::string(), 0);
-    scope_epochs_.push_back(0);
-    scope_seen_.push_back(0);
-  }
+      : options_(options) {}
 
   ResponseCache(const ResponseCache&) = delete;
   ResponseCache& operator=(const ResponseCache&) = delete;
@@ -113,19 +103,6 @@ class ResponseCache {
   void Store(std::string_view scope, std::uint64_t epoch,
              std::string_view key, std::string wire);
 
-  /// Default-scope ("") forms for serving surfaces with a single epoch
-  /// domain and for existing callers.
-  const std::string* Lookup(std::uint64_t epoch, std::string_view key) {
-    return Lookup(std::string_view(), epoch, key);
-  }
-  const std::shared_ptr<const std::string>* LookupPinned(
-      std::uint64_t epoch, std::string_view key) {
-    return LookupPinned(std::string_view(), epoch, key);
-  }
-  void Store(std::uint64_t epoch, std::string_view key, std::string wire) {
-    Store(std::string_view(), epoch, key, std::move(wire));
-  }
-
   /// Counts a request that skipped the cache (Cache-Control: no-cache).
   void CountBypass() { bypass_.fetch_add(1, std::memory_order_relaxed); }
 
@@ -147,9 +124,6 @@ class ResponseCache {
   };
   /// Safe to call from any thread; `entries` is a racy snapshot.
   Stats GetStats() const;
-
-  /// The default scope's last observed epoch.
-  std::uint64_t epoch() const { return scope_epochs_[0]; }
 
  private:
   struct StringHash {
@@ -186,9 +160,6 @@ class ResponseCache {
                      std::equal_to<>>
       scope_ids_;
   std::vector<std::uint64_t> scope_epochs_;
-  /// 1 once the scope's epoch has been observed by any Lookup/Store;
-  /// parallel to scope_epochs_.
-  std::vector<char> scope_seen_;
   /// Racy-read-safe mirror of entries_.size() for cross-thread Stats().
   std::atomic<std::size_t> entry_count_{0};
   std::string key_buf_;

@@ -5,11 +5,13 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <string.h>
+#include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -18,8 +20,6 @@
 namespace aqua {
 
 namespace {
-
-enum class WriteNow { kDone, kTail, kError };
 
 /// Inline responses buffered past this many bytes are sent before the next
 /// request is served, which bounds a connection's output buffer to this
@@ -31,46 +31,41 @@ void AppendResponse(const HttpResponse& response, std::string* out) {
   out->append(response.body);
 }
 
-/// Nonblocking vectored write used by worker threads: sends what the
-/// socket accepts right now and collects any unsent remainder into *tail
-/// for the owning reactor's backend to finish — the worker never blocks on
-/// a slow reader (the old WritevAll poll() loop is gone).
-WriteNow WritevNonblock(int fd, std::string_view head, std::string_view body,
-                        std::string* tail) {
-  const std::size_t total = head.size() + body.size();
+void Count(std::atomic<std::int64_t>& counter, std::int64_t n = 1) {
+  counter.fetch_add(n, std::memory_order_relaxed);
+}
+
+/// Nonblocking vectored send used by worker threads: sends what the
+/// socket accepts right now and appends any unsent remainder to *tail for
+/// the owning reactor to finish, so a worker never blocks on a slow
+/// reader.  Returns false when the connection is dead.
+bool SendNonblock(int fd, std::string_view head, std::string_view body,
+                  std::string* tail) {
   std::size_t written = 0;
-  while (written < total) {
-    iovec iov[2];
-    int iovcnt = 0;
-    if (written < head.size()) {
-      iov[iovcnt].iov_base = const_cast<char*>(head.data()) + written;
-      iov[iovcnt].iov_len = head.size() - written;
-      ++iovcnt;
-    }
-    const std::size_t body_done =
-        written > head.size() ? written - head.size() : 0;
-    if (body_done < body.size()) {
-      iov[iovcnt].iov_base = const_cast<char*>(body.data()) + body_done;
-      iov[iovcnt].iov_len = body.size() - body_done;
-      ++iovcnt;
-    }
-    const ssize_t n = ::writev(fd, iov, iovcnt);
+  for (;;) {
+    const std::string_view head_left =
+        head.substr(std::min(written, head.size()));
+    const std::string_view body_left =
+        body.substr(written - (head.size() - head_left.size()));
+    if (head_left.empty() && body_left.empty()) return true;
+    iovec iov[2] = {{const_cast<char*>(head_left.data()), head_left.size()},
+                    {const_cast<char*>(body_left.data()), body_left.size()}};
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = 2;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
       written += static_cast<std::size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      tail->clear();
-      if (written < head.size()) tail->append(head.substr(written));
-      const std::size_t body_done2 =
-          written > head.size() ? written - head.size() : 0;
-      if (body_done2 < body.size()) tail->append(body.substr(body_done2));
-      return WriteNow::kTail;
+      tail->append(head_left);
+      tail->append(body_left);
+      return true;
     }
-    return WriteNow::kError;
+    return false;
   }
-  return WriteNow::kDone;
 }
 
 }  // namespace
@@ -89,6 +84,19 @@ HttpServer::~HttpServer() {
 
 void HttpServer::Route(std::string method, std::string path, Handler handler,
                        RouteOptions route_options) {
+  AddRoute(&routes_, std::move(method), std::move(path), std::move(handler),
+           std::move(route_options));
+}
+
+void HttpServer::RoutePrefix(std::string method, std::string prefix,
+                             Handler handler, RouteOptions route_options) {
+  AddRoute(&prefix_routes_, std::move(method), std::move(prefix),
+           std::move(handler), std::move(route_options));
+}
+
+void HttpServer::AddRoute(std::vector<RouteEntry>* table, std::string method,
+                          std::string path, Handler handler,
+                          RouteOptions route_options) {
   RouteEntry entry;
   entry.run_inline = route_options.dispatch == RouteOptions::Dispatch::kAuto &&
                      method == "GET";
@@ -98,42 +106,7 @@ void HttpServer::Route(std::string method, std::string path, Handler handler,
   entry.cacheable_if = std::move(route_options.cacheable_if);
   entry.canonical_key = std::move(route_options.canonical_key);
   entry.scoped_epoch = std::move(route_options.scoped_epoch);
-  routes_.push_back(std::move(entry));
-}
-
-void HttpServer::RoutePrefix(std::string method, std::string prefix,
-                             Handler handler, RouteOptions route_options) {
-  RouteEntry entry;
-  entry.run_inline = route_options.dispatch == RouteOptions::Dispatch::kAuto &&
-                     method == "GET";
-  entry.method = std::move(method);
-  entry.path = std::move(prefix);
-  entry.handler = std::move(handler);
-  entry.cacheable_if = std::move(route_options.cacheable_if);
-  entry.canonical_key = std::move(route_options.canonical_key);
-  entry.scoped_epoch = std::move(route_options.scoped_epoch);
-  prefix_routes_.push_back(std::move(entry));
-}
-
-void HttpServer::Route(std::string method, std::string path,
-                       SimpleHandler handler, RouteOptions route_options) {
-  Route(std::move(method), std::move(path),
-        [h = std::move(handler)](const HttpRequest& request,
-                                 HttpResponse* response) {
-          *response = h(request);
-        },
-        std::move(route_options));
-}
-
-void HttpServer::RoutePrefix(std::string method, std::string prefix,
-                             SimpleHandler handler,
-                             RouteOptions route_options) {
-  RoutePrefix(std::move(method), std::move(prefix),
-              [h = std::move(handler)](const HttpRequest& request,
-                                       HttpResponse* response) {
-                *response = h(request);
-              },
-              std::move(route_options));
+  table->push_back(std::move(entry));
 }
 
 Status HttpServer::StartListener(Reactor& reactor) {
@@ -188,6 +161,23 @@ Status HttpServer::StartListener(Reactor& reactor) {
   if (reactor.event_fd < 0) {
     return Status::Internal("eventfd failed");
   }
+
+  // The listener's and the wake fd's events carry the address of the
+  // reactor's field holding the fd; a connection's carry the Connection*.
+  Count(reactor.syscalls);
+  reactor.epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+  if (reactor.epoll_fd < 0) {
+    return Status::Internal(std::string("epoll_create1: ") + strerror(errno));
+  }
+  for (int* fd : {&reactor.listen_fd, &reactor.event_fd}) {
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.ptr = fd;
+    Count(reactor.syscalls);
+    if (::epoll_ctl(reactor.epoll_fd, EPOLL_CTL_ADD, *fd, &ev) != 0) {
+      return Status::Internal(std::string("epoll_ctl: ") + strerror(errno));
+    }
+  }
   return Status::OK();
 }
 
@@ -195,7 +185,6 @@ Status HttpServer::Start() {
   reactors_.reserve(static_cast<std::size_t>(options_.reactors));
   for (int i = 0; i < options_.reactors; ++i) {
     auto reactor = std::make_unique<Reactor>(options_.cache);
-    reactor->server = this;
     reactor->index = static_cast<std::size_t>(i);
     Status status = StartListener(*reactor);
     if (!status.ok()) return status;
@@ -209,7 +198,12 @@ Status HttpServer::Start() {
   }
   workers_.reserve(static_cast<std::size_t>(options_.workers));
   for (int i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    // The worker's render scratch is built here, so its one allocation
+    // happens before Start() returns rather than whenever the thread
+    // first runs.
+    workers_.emplace_back([this, response = HttpResponse()]() mutable {
+      WorkerLoop(std::move(response));
+    });
   }
   return Status::OK();
 }
@@ -245,9 +239,11 @@ void HttpServer::Shutdown() {
   }
   shutdown_cv_.notify_all();
   for (auto& reactor : reactors_) {
-    if (reactor->listen_fd >= 0) ::close(reactor->listen_fd);
-    if (reactor->event_fd >= 0) ::close(reactor->event_fd);
-    reactor->listen_fd = reactor->event_fd = -1;
+    for (int* fd :
+         {&reactor->listen_fd, &reactor->event_fd, &reactor->epoll_fd}) {
+      if (*fd >= 0) ::close(*fd);
+      *fd = -1;
+    }
   }
 }
 
@@ -273,14 +269,15 @@ HttpServer::ServerStats HttpServer::Stats() const {
     if (reactor->pinned_cpu.load(std::memory_order_relaxed) >= 0) {
       ++stats.reactors_pinned;
     }
-    const IoBackend::Stats io = reactor->backend.GetStats();
-    stats.io.syscalls += io.syscalls;
-    stats.io.direct_sends += io.direct_sends;
-    stats.io.coalesced_responses += io.coalesced_responses;
-    stats.io.copied_sends += io.copied_sends;
-    stats.io.copied_bytes += io.copied_bytes;
-    stats.io.bytes_sent += io.bytes_sent;
-    stats.io.bytes_received += io.bytes_received;
+    constexpr auto kRelaxed = std::memory_order_relaxed;
+    stats.io.syscalls += reactor->syscalls.load(kRelaxed);
+    stats.io.direct_sends += reactor->direct_sends.load(kRelaxed);
+    stats.io.coalesced_responses +=
+        reactor->coalesced_responses.load(kRelaxed);
+    stats.io.copied_sends += reactor->copied_sends.load(kRelaxed);
+    stats.io.copied_bytes += reactor->copied_bytes.load(kRelaxed);
+    stats.io.bytes_sent += reactor->bytes_sent.load(kRelaxed);
+    stats.io.bytes_received += reactor->bytes_received.load(kRelaxed);
   }
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -294,27 +291,56 @@ void HttpServer::IoLoop(Reactor& reactor) {
     reactor.pinned_cpu.store(PinSelfToCpu(reactor.index),
                              std::memory_order_relaxed);
   }
-  const Status init =
-      reactor.backend.Init(reactor.listen_fd, reactor.event_fd, &reactor);
-  if (!init.ok()) {
-    std::fprintf(stderr, "aqua: reactor %zu failed to start: %s\n",
-                 reactor.index, init.message().c_str());
-    return;
-  }
-
   bool draining = false;
   int drain_spins = 0;
+  epoll_event events[128];
   for (;;) {
-    const Status status = reactor.backend.Poll(100);
-    if (!status.ok()) {
-      std::fprintf(stderr, "aqua: reactor %zu poll failed: %s\n",
-                   reactor.index, status.message().c_str());
+    Count(reactor.syscalls);
+    const int n = ::epoll_wait(reactor.epoll_fd, events, 128, 100);
+    if (n < 0 && errno != EINTR) {
+      std::fprintf(stderr, "aqua: reactor %zu epoll_wait failed: %s\n",
+                   reactor.index, strerror(errno));
       break;
     }
+    for (int i = 0; i < n; ++i) {
+      void* ptr = events[i].data.ptr;
+      const std::uint32_t ready = events[i].events;
+      if (ptr == &reactor.listen_fd) {
+        Accept(reactor);
+        continue;
+      }
+      if (ptr == &reactor.event_fd) {
+        // Worker rearms or shutdown: both are handled after the batch.
+        std::uint64_t value = 0;
+        Count(reactor.syscalls);
+        [[maybe_unused]] const ssize_t r =
+            ::read(reactor.event_fd, &value, sizeof(value));
+        continue;
+      }
+      auto* conn = static_cast<Connection*>(ptr);
+      if (conn->fd < 0) continue;  // closed earlier in this batch
+      if (!conn->parked.empty()) {
+        // While a tail is parked the mask is EPOLLOUT-only; errors and
+        // hangups surface as a write failure inside the flush.
+        if (ready & (EPOLLOUT | EPOLLERR | EPOLLHUP)) {
+          FlushParked(reactor, conn);
+        }
+      } else if (conn->recv_on &&
+                 (ready & (EPOLLIN | EPOLLERR | EPOLLHUP))) {
+        ReadReady(reactor, conn);
+      }
+    }
+    // Deferred free: no event left in this batch can carry the pointer of
+    // a connection it closed.
+    for (Connection* conn : reactor.closed) delete conn;
+    reactor.closed.clear();
+
     ProcessRearms(reactor);
     if (stopping_.load(std::memory_order_acquire) && !draining) {
       draining = true;
-      reactor.backend.StopAccepting();
+      Count(reactor.syscalls);
+      ::epoll_ctl(reactor.epoll_fd, EPOLL_CTL_DEL, reactor.listen_fd,
+                  nullptr);
     }
     // in_flight_ and the queue are global: every reactor waits for the
     // whole server to drain so no reactor exits while a worker still owes
@@ -328,60 +354,126 @@ void HttpServer::IoLoop(Reactor& reactor) {
       }
       if (queue_empty) {
         queue_cv_.notify_all();
-        // Give parked sends a bounded grace period (~5s of poll ticks) to
+        // Give parked tails a bounded grace period (~5s of poll ticks) to
         // reach their slow readers before cutting them off.
-        if (!AnyPendingSend(reactor) || ++drain_spins >= 50) break;
+        const bool parked = std::any_of(
+            reactor.connections.begin(), reactor.connections.end(),
+            [](const Connection* conn) { return !conn->parked.empty(); });
+        if (!parked || ++drain_spins >= 50) break;
       }
     }
   }
-  // Close whatever is still registered (idle keep-alive connections).
-  std::vector<Connection*> remaining(reactor.connections.begin(),
-                                     reactor.connections.end());
-  for (Connection* conn : remaining) CloseConnection(reactor, conn);
-  reactor.backend.Shutdown();
-}
-
-bool HttpServer::AnyPendingSend(Reactor& reactor) const {
-  for (Connection* conn : reactor.connections) {
-    if (conn->io != nullptr && reactor.backend.HasPendingSend(conn->io)) {
-      return true;
-    }
+  // Close whatever is still open (idle keep-alive connections).
+  while (!reactor.connections.empty()) {
+    CloseConnection(reactor, *reactor.connections.begin());
   }
-  return false;
+  for (Connection* conn : reactor.closed) delete conn;
+  reactor.closed.clear();
 }
 
-void HttpServer::OnAccept(Reactor& reactor, int fd) {
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  auto* conn = new Connection(fd, limits_, &reactor);
-  conn->io = reactor.backend.Add(fd, conn);
-  if (conn->io == nullptr) {
-    ::close(fd);
-    delete conn;
+void HttpServer::Accept(Reactor& reactor) {
+  for (;;) {
+    Count(reactor.syscalls);
+    const int fd = ::accept4(reactor.listen_fd, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR) continue;
+      return;  // EAGAIN or transient accept failure; next event retries
+    }
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    auto* conn = new Connection(fd, limits_, &reactor);
+    if (!SyncMask(reactor, conn)) {
+      ::close(fd);
+      delete conn;
+      continue;
+    }
+    reactor.connections.insert(conn);
+    accepted_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void HttpServer::ReadReady(Reactor& reactor, Connection* conn) {
+  char buf[16384];
+  for (;;) {
+    Count(reactor.syscalls);
+    const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
+    if (n > 0) {
+      Count(reactor.bytes_received, n);
+      // The parser copies the bytes into its own buffer.
+      if (conn->parser.Feed(std::string_view(buf, static_cast<size_t>(n))) !=
+              HttpRequestParser::State::kNeedMore &&
+          !DrainParsed(reactor, conn)) {
+        return;  // closed, handed to a worker, or parked
+      }
+      // Level-triggered epoll re-fires if more bytes are queued, so a
+      // short read ends the loop without paying an extra EAGAIN read.
+      if (n < static_cast<ssize_t>(sizeof(buf))) return;
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    CloseConnection(reactor, conn);  // orderly EOF or a receive error
     return;
   }
-  reactor.connections.insert(conn);
-  accepted_.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool HttpServer::OnRecv(Reactor& reactor, Connection* conn,
-                        std::string_view data) {
-  if (conn->parser.Feed(data) == HttpRequestParser::State::kNeedMore) {
-    return true;  // need more bytes; nothing is buffered to send
-  }
-  return DrainParsed(reactor, conn);
-}
-
-void HttpServer::OnSendDrained(Reactor& reactor, Connection* conn) {
-  if (conn->close_after_send ||
-      stopping_.load(std::memory_order_acquire)) {
+void HttpServer::FlushParked(Reactor& reactor, Connection* conn) {
+  while (conn->parked_sent < conn->parked.size()) {
+    Count(reactor.syscalls);
+    const ssize_t n =
+        ::send(conn->fd, conn->parked.data() + conn->parked_sent,
+               conn->parked.size() - conn->parked_sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      Count(reactor.bytes_sent, n);
+      conn->parked_sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
     CloseConnection(reactor, conn);
     return;
   }
-  // Serve any pipelined requests buffered while the send was in flight;
-  // only then re-open the receive path.
-  if (!DrainParsed(reactor, conn)) return;
-  reactor.backend.ResumeRecv(conn->io);
+  conn->parked.clear();
+  conn->parked_sent = 0;
+  SyncMask(reactor, conn);  // EPOLLOUT off; receive is still suspended
+  if (conn->close_after_send || stopping_.load(std::memory_order_acquire)) {
+    CloseConnection(reactor, conn);
+    return;
+  }
+  // Serve any pipelined requests buffered while the tail was parked; only
+  // then re-open the receive path.
+  if (DrainParsed(reactor, conn)) SetRecv(reactor, conn, true);
+}
+
+bool HttpServer::SyncMask(Reactor& reactor, Connection* conn) {
+  const std::uint32_t mask = (conn->recv_on ? EPOLLIN : 0u) |
+                             (conn->parked.empty() ? 0u : EPOLLOUT);
+  if (mask == 0) {
+    if (conn->registered) {
+      Count(reactor.syscalls);
+      ::epoll_ctl(reactor.epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
+      conn->registered = false;
+    }
+    return true;
+  }
+  epoll_event ev{};
+  ev.events = mask;
+  ev.data.ptr = conn;
+  Count(reactor.syscalls);
+  if (::epoll_ctl(reactor.epoll_fd,
+                  conn->registered ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, conn->fd,
+                  &ev) != 0) {
+    return false;
+  }
+  conn->registered = true;
+  return true;
+}
+
+void HttpServer::SetRecv(Reactor& reactor, Connection* conn, bool on) {
+  if (conn->recv_on == on) return;
+  conn->recv_on = on;
+  SyncMask(reactor, conn);
 }
 
 bool HttpServer::DrainParsed(Reactor& reactor, Connection* conn) {
@@ -445,14 +537,13 @@ bool HttpServer::HandleParsedRequest(Reactor& reactor, Connection* conn) {
 
   // Mutating route.  The worker writes its response straight to the
   // socket, so the responses buffered ahead of it go first; if they park,
-  // the request stays in the parser and OnSendDrained() dispatches it.
+  // the request stays in the parser and FlushParked() dispatches it.
   if (!FinishSend(reactor, conn, /*keep_alive=*/true)) return false;
 
   // Hand the connection to the worker pool, or shed.  The request stays
   // in the connection; the parser storage its views point into stays
-  // untouched (receive delivery is suspended) until the worker pushes its
-  // rearm.
-  reactor.backend.SuspendRecv(conn->io);
+  // untouched (receive is suspended) until the worker pushes its rearm.
+  SetRecv(reactor, conn, false);
   conn->request = conn->parser.TakeRequest();
   bool shed = false;
   {
@@ -482,25 +573,41 @@ bool HttpServer::HandleParsedRequest(Reactor& reactor, Connection* conn) {
 
 bool HttpServer::FinishSend(Reactor& reactor, Connection* conn,
                             bool keep_alive) {
-  IoBackend::SendResult result = IoBackend::SendResult::kDone;
-  if (!conn->out.empty()) {
-    result = reactor.backend.Send(conn->io, conn->out, conn->out_responses);
-    // Send() copied any unsent tail, so the buffer is free again.
-    conn->out.clear();
-    conn->out_responses = 0;
+  if (conn->out_responses > 1) {
+    Count(reactor.coalesced_responses, conn->out_responses - 1);
   }
-  if (result == IoBackend::SendResult::kError) {
+  std::string_view unsent = conn->out;
+  while (!unsent.empty()) {
+    Count(reactor.syscalls);
+    const ssize_t n =
+        ::send(conn->fd, unsent.data(), unsent.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+      Count(reactor.bytes_sent, n);
+      unsent.remove_prefix(static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     CloseConnection(reactor, conn);
     return false;
   }
-  if (result == IoBackend::SendResult::kPending) {
-    // Backpressure: no new request is read for this connection while its
-    // responses are still leaving — the parser cannot grow unboundedly
-    // behind a reader that never drains.
+  const bool park = !unsent.empty();
+  if (park) {
+    // Backpressure: the tail waits for EPOLLOUT and no new request is read
+    // meanwhile, so neither the parser nor the buffer grows behind a
+    // reader that never drains.
+    conn->parked.assign(unsent);
+    Count(reactor.copied_sends);
+    Count(reactor.copied_bytes, static_cast<std::int64_t>(unsent.size()));
     conn->close_after_send = !keep_alive;
-    reactor.backend.SuspendRecv(conn->io);
-    return false;
+    conn->recv_on = false;
+    SyncMask(reactor, conn);
+  } else if (!conn->out.empty()) {
+    Count(reactor.direct_sends);
   }
+  conn->out.clear();
+  conn->out_responses = 0;
+  if (park) return false;
   if (!keep_alive) {
     CloseConnection(reactor, conn);
     return false;
@@ -601,46 +708,39 @@ bool HttpServer::ServeInline(Reactor& reactor, Connection* conn,
 void HttpServer::ProcessRearms(Reactor& reactor) {
   {
     std::lock_guard<std::mutex> lock(reactor.rearm_mutex);
+    // Only a nonempty batch swaps, so successive batches land in the two
+    // vectors in turn and both reach capacity within two handoffs.
+    if (reactor.rearms.empty()) return;
     reactor.rearms_draining.swap(reactor.rearms);
   }
-  for (RearmItem& item : reactor.rearms_draining) {
+  for (const RearmItem& item : reactor.rearms_draining) {
     Connection* conn = item.conn;
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    if (item.has_pending) {
-      // The worker's nonblocking write left a tail; finish it through the
-      // backend (still delivering the response even when draining).
-      const IoBackend::SendResult sent =
-          reactor.backend.Send(conn->io, item.pending_wire, 1);
-      if (sent == IoBackend::SendResult::kError) {
-        CloseConnection(reactor, conn);
-        continue;
-      }
-      if (sent == IoBackend::SendResult::kPending) {
-        conn->close_after_send =
-            item.close || stopping_.load(std::memory_order_acquire);
-        continue;  // receive stays suspended until the send drains
-      }
+    // Finish the tail the worker's write left (delivered even when
+    // draining), then serve the pipelined requests already buffered
+    // without a read (which may bounce the connection straight back to
+    // the worker pool) and re-arm receive.
+    const bool keep_alive =
+        !item.close && !stopping_.load(std::memory_order_acquire);
+    if (FinishSend(reactor, conn, keep_alive) && DrainParsed(reactor, conn)) {
+      SetRecv(reactor, conn, true);
     }
-    if (item.close || stopping_.load(std::memory_order_acquire)) {
-      CloseConnection(reactor, conn);
-      continue;
-    }
-    // Pipelined requests already buffered are served without a read (and
-    // may bounce the connection straight back to the worker pool).
-    if (!DrainParsed(reactor, conn)) continue;
-    reactor.backend.ResumeRecv(conn->io);
   }
   reactor.rearms_draining.clear();
 }
 
 void HttpServer::CloseConnection(Reactor& reactor, Connection* conn) {
-  if (conn->io != nullptr) {
-    reactor.backend.Close(conn->io);
-  } else if (conn->fd >= 0) {
-    ::close(conn->fd);
+  if (conn->registered) {
+    Count(reactor.syscalls);
+    ::epoll_ctl(reactor.epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
+    conn->registered = false;
   }
+  Count(reactor.syscalls);
+  ::close(conn->fd);
+  conn->fd = -1;
   reactor.connections.erase(conn);
-  delete conn;
+  // Freed by IoLoop once the current epoll_wait batch is dispatched.
+  reactor.closed.push_back(conn);
 }
 
 void HttpServer::SendControl(Reactor& reactor, Connection* conn,
@@ -655,10 +755,7 @@ void HttpServer::SendControl(Reactor& reactor, Connection* conn,
   FinishSend(reactor, conn, /*keep_alive=*/false);
 }
 
-void HttpServer::WorkerLoop() {
-  // Per-worker render scratch, reused across every request this thread
-  // serves (same capacity-retention discipline as the reactor scratch).
-  HttpResponse response;
+void HttpServer::WorkerLoop(HttpResponse response) {
   std::string head;
   for (;;) {
     WorkItem item;
@@ -679,21 +776,17 @@ void HttpServer::WorkerLoop() {
 
     head.clear();
     response.SerializeHeadInto(&head);
-    // Write what the socket takes right now; an unsent tail rides the
-    // rearm back to the owning reactor, whose backend finishes it.
-    RearmItem rearm;
-    rearm.conn = item.conn;
-    const WriteNow wrote =
-        WritevNonblock(item.conn->fd, head, response.body,
-                       &rearm.pending_wire);
-    rearm.has_pending = wrote == WriteNow::kTail;
-    rearm.close = wrote == WriteNow::kError || !response.keep_alive;
+    // Send what the socket takes right now; an unsent tail waits in the
+    // connection's output buffer for the owning reactor to finish.
+    Connection* conn = item.conn;
+    const bool sent = SendNonblock(conn->fd, head, response.body, &conn->out);
+    if (!conn->out.empty()) conn->out_responses = 1;
 
     // Hand the connection back to its owning reactor for re-arming.
-    Reactor* owner = item.conn->owner;
+    Reactor* owner = conn->owner;
     {
       std::lock_guard<std::mutex> lock(owner->rearm_mutex);
-      owner->rearms.push_back(std::move(rearm));
+      owner->rearms.push_back({conn, !sent || !response.keep_alive});
     }
     const std::uint64_t one = 1;
     [[maybe_unused]] ssize_t n =

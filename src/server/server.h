@@ -17,7 +17,6 @@
 
 #include "common/status.h"
 #include "server/http.h"
-#include "server/io_backend.h"
 #include "server/response_cache.h"
 
 namespace aqua {
@@ -28,8 +27,8 @@ struct HttpServerOptions {
   /// 0 picks an ephemeral port; read it back with port() after Start().
   std::uint16_t port = 0;
   /// Shared-nothing IO reactors.  Each owns an SO_REUSEPORT listener, an
-  /// epoll transport, a connection registry and a response cache; the
-  /// kernel spreads incoming connections across them by flow hash.
+  /// epoll loop, a connection registry and a response cache; the kernel
+  /// spreads incoming connections across them by flow hash.
   int reactors = 1;
   /// Handler threads for worker-dispatched (mutating) routes.
   int workers = 4;
@@ -95,9 +94,9 @@ struct RouteOptions {
 };
 
 /// An HTTP/1.1 server scaled across N shared-nothing reactors: every
-/// reactor owns its own SO_REUSEPORT listener socket, epoll transport
-/// (IoBackend), wake eventfd, connection registry and response cache, so
-/// the read path never crosses a thread.  A connection is accepted by
+/// reactor owns its own SO_REUSEPORT listener socket, level-triggered epoll
+/// loop, wake eventfd, connection registry and response cache, so the read
+/// path never crosses a thread.  A connection is accepted by
 /// exactly one reactor and lives there: reads, parsing, inline handling,
 /// response writes and keep-alive re-arming all happen on that reactor's
 /// thread.
@@ -105,17 +104,20 @@ struct RouteOptions {
 /// Read-path (inline) routes run to completion on the reactor — no queue
 /// hop, no cross-thread rearm — and may serve fully cached wire bytes via
 /// the per-reactor ResponseCache.  Every inline response is appended to
-/// the connection's output buffer, and the buffer goes out in one Send()
+/// the connection's output buffer, and the buffer goes out in one send()
 /// once the parser holds no further complete request, so a pipelined
 /// burst read in one read() is answered with one write.  The reactor never
-/// blocks on a slow reader: a short write parks the unsent tail with the
-/// backend (EPOLLOUT rearm) and receive delivery stays suspended until it
-/// drains.  Mutating routes are handed to a shared bounded queue consumed
-/// by worker threads, which compute the response, write what the socket
-/// accepts without blocking, and return the connection (plus any unsent
-/// tail) to its owning reactor.  Keep-alive and pipelined requests are
-/// supported (a pipeline may interleave inline and worker requests, and the
-/// responses keep request order); chunked uploads are not.
+/// blocks on a slow reader: a short write parks the unsent tail on the
+/// connection (EPOLLOUT rearm) and receive stays suspended until it
+/// drains.  Every write passes MSG_NOSIGNAL, so a peer that closes before
+/// reading its response costs its connection, never the process.
+/// Mutating routes are handed to a shared bounded queue consumed by worker
+/// threads, which compute the response, write what the socket accepts
+/// without blocking, and return the connection (with any unsent tail in
+/// its output buffer) to its owning reactor.  Keep-alive and pipelined
+/// requests are supported (a pipeline may interleave inline and worker
+/// requests, and the responses keep request order); chunked uploads are
+/// not.
 ///
 /// Lifecycle: Route(...) then Start(); Shutdown() stops accepting, drains
 /// queued and in-flight requests, then joins every thread (graceful drain
@@ -128,9 +130,6 @@ class HttpServer {
   /// renders without allocating.  The request's views are valid for the
   /// duration of the call.
   using Handler = std::function<void(const HttpRequest&, HttpResponse*)>;
-  /// Return-by-value convenience form (tests, simple endpoints); wrapped
-  /// into a Handler at registration, paying one response copy per call.
-  using SimpleHandler = std::function<HttpResponse(const HttpRequest&)>;
 
   explicit HttpServer(const HttpServerOptions& options);
   ~HttpServer();
@@ -143,8 +142,6 @@ class HttpServer {
   /// different method answer 405.
   void Route(std::string method, std::string path, Handler handler,
              RouteOptions route_options = {});
-  void Route(std::string method, std::string path, SimpleHandler handler,
-             RouteOptions route_options = {});
 
   /// Registers a handler for every path starting with `prefix` (e.g.
   /// "/attr/").  Exact routes win over prefixes; among prefixes the longest
@@ -152,8 +149,6 @@ class HttpServer {
   /// prefix with a different method answers 405 like exact routes.
   void RoutePrefix(std::string method, std::string prefix, Handler handler,
                    RouteOptions route_options = {});
-  void RoutePrefix(std::string method, std::string prefix,
-                   SimpleHandler handler, RouteOptions route_options = {});
 
   /// Binds the per-reactor listeners and spawns the reactor + worker
   /// threads.
@@ -171,6 +166,25 @@ class HttpServer {
   /// Blocks until Shutdown() has completed (from any thread).
   void Wait();
 
+  /// Transport counters, summed over the reactors (DESIGN.md §14).
+  struct IoStats {
+    /// Every syscall a reactor thread made (epoll_wait/ctl, accept4,
+    /// read, send, eventfd reads, close); the workers' writes are not
+    /// counted.
+    std::int64_t syscalls = 0;
+    /// Sends of a connection buffer whose every byte was written at once.
+    std::int64_t direct_sends = 0;
+    /// Responses that went out in one send behind an earlier response of
+    /// the same send: a send carrying n responses adds n - 1.
+    std::int64_t coalesced_responses = 0;
+    /// Sends whose unsent tail was copied and parked for a slow reader,
+    /// and the bytes copied.
+    std::int64_t copied_sends = 0;
+    std::int64_t copied_bytes = 0;
+    std::int64_t bytes_sent = 0;
+    std::int64_t bytes_received = 0;
+  };
+
   struct ServerStats {
     std::int64_t accepted = 0;
     std::int64_t requests = 0;
@@ -186,8 +200,7 @@ class HttpServer {
     std::int64_t cache_stale_evictions = 0;
     /// Reactors whose CPU pin succeeded (0 when pinning is off).
     int reactors_pinned = 0;
-    /// Transport counters aggregated across all reactors' backends.
-    IoBackend::Stats io;
+    IoStats io;
   };
   ServerStats Stats() const;
 
@@ -207,25 +220,38 @@ class HttpServer {
 
   struct Reactor;
 
+  /// One accepted connection: one heap object, registered in its reactor's
+  /// epoll set with itself as the event's data.ptr.
   struct Connection {
+    /// -1 once closed: the reactor frees a closed connection only after
+    /// the epoll_wait batch it was closed in, whose later events may still
+    /// carry its pointer.
     int fd = -1;
     HttpRequestParser parser;
     /// The reactor that accepted this connection; workers hand it back
     /// here for re-arming.
     Reactor* owner = nullptr;
-    /// Opaque per-connection handle from the reactor's IoBackend.
-    void* io = nullptr;
-    /// Inline responses not yet sent, in request order, and how many
-    /// there are.  Keeps its capacity, so a warmed connection appends
-    /// without allocating.
+    /// Responses not yet sent, in request order, and how many there are.
+    /// Keeps its capacity, so a warmed connection appends without
+    /// allocating.  A worker leaves its unsent tail here for the rearm.
     std::string out;
     std::int64_t out_responses = 0;
     /// The request a worker is serving; its views point into `parser`,
     /// which the reactor leaves alone until the worker's rearm.
     HttpRequest request;
-    /// Close once the pending backend send drains (write failure-free
-    /// Connection: close, or a control response like 400/503).
+    /// Close once the parked tail drains (Connection: close, or a control
+    /// response like 400/503).
     bool close_after_send = false;
+    /// Transport state, reactor-thread-owned.  EPOLLIN is armed while
+    /// `recv_on` and EPOLLOUT while a tail is parked; a connection with
+    /// neither (a worker's) leaves the epoll set, so level-triggered
+    /// hangups cannot spin the reactor while a worker owns it.
+    bool recv_on = true;
+    bool registered = false;
+    /// Unsent bytes copied out of `out` when the socket filled, and how
+    /// many of them have gone since; nonempty exactly while parked.
+    std::string parked;
+    std::size_t parked_sent = 0;
     Connection(int f, const HttpRequestParser::Limits& limits, Reactor* r)
         : fd(f), parser(limits), owner(r) {}
   };
@@ -237,29 +263,24 @@ class HttpServer {
     const RouteEntry* route = nullptr;
   };
 
+  /// A connection a worker hands back; any unsent tail of its response is
+  /// in `conn->out`.
   struct RearmItem {
     Connection* conn = nullptr;
     bool close = false;
-    /// Unsent response tail from the worker's nonblocking write; the
-    /// reactor finishes it through the backend (empty when the worker's
-    /// write completed).
-    std::string pending_wire;
-    bool has_pending = false;
   };
 
   /// One shared-nothing IO reactor (one thread's worth of serving state).
-  /// Implements IoBackend::Events by forwarding into the server with
-  /// itself as context.
-  struct Reactor : IoBackend::Events {
-    HttpServer* server = nullptr;
+  struct Reactor {
     std::size_t index = 0;
     int listen_fd = -1;
     int event_fd = -1;
-    /// Reactor-thread-owned, except GetStats(), which any thread may call.
-    IoBackend backend;
+    int epoll_fd = -1;
     std::thread thread;
-    /// Reactor-thread-owned registry of live connections.
+    /// Reactor-thread-owned registry of live connections, and the closed
+    /// ones waiting for the end of the epoll_wait batch to be freed.
     std::unordered_set<Connection*> connections;
+    std::vector<Connection*> closed;
     /// Connections finished by workers, waiting for this reactor to
     /// re-arm or close them.
     std::mutex rearm_mutex;
@@ -277,36 +298,40 @@ class HttpServer {
     HttpResponse response_scratch;
     /// CPU this reactor's thread got pinned to, or -1.
     std::atomic<int> pinned_cpu{-1};
+    /// IoStats, counted by this reactor's thread in relaxed atomics so
+    /// Stats() may read them from any thread.
+    std::atomic<std::int64_t> syscalls{0}, direct_sends{0},
+        coalesced_responses{0}, copied_sends{0}, copied_bytes{0},
+        bytes_sent{0}, bytes_received{0};
 
     explicit Reactor(const ResponseCacheOptions& cache_options)
         : cache(cache_options) {}
-
-    void OnAccept(int fd) override { server->OnAccept(*this, fd); }
-    bool OnRecv(void* token, std::string_view data) override {
-      return server->OnRecv(*this, static_cast<Connection*>(token), data);
-    }
-    void OnRecvClosed(void* token) override {
-      server->CloseConnection(*this, static_cast<Connection*>(token));
-    }
-    void OnSendDrained(void* token) override {
-      server->OnSendDrained(*this, static_cast<Connection*>(token));
-    }
-    void OnSendError(void* token) override {
-      server->CloseConnection(*this, static_cast<Connection*>(token));
-    }
-    void OnWake() override { server->ProcessRearms(*this); }
   };
 
+  void AddRoute(std::vector<RouteEntry>* table, std::string method,
+                std::string path, Handler handler,
+                RouteOptions route_options);
+  /// Opens the reactor's listener, wake eventfd and epoll set.
   Status StartListener(Reactor& reactor);
+  /// The reactor thread: epoll_wait, dispatch, the deferred free, rearms
+  /// and the graceful drain.
   void IoLoop(Reactor& reactor);
-  void OnAccept(Reactor& reactor, int fd);
-  bool OnRecv(Reactor& reactor, Connection* conn, std::string_view data);
-  void OnSendDrained(Reactor& reactor, Connection* conn);
+  void Accept(Reactor& reactor);
+  /// Reads what the socket holds and serves every request it completes.
+  void ReadReady(Reactor& reactor, Connection* conn);
+  /// Writes the parked tail on EPOLLOUT; once it drains, serves the
+  /// requests that waited behind it and re-arms receive.
+  void FlushParked(Reactor& reactor, Connection* conn);
+  /// Brings the connection's epoll registration in line with `recv_on`
+  /// and its parked tail.
+  bool SyncMask(Reactor& reactor, Connection* conn);
+  /// Arms or disarms receive for the connection.  Idempotent.
+  void SetRecv(Reactor& reactor, Connection* conn, bool on);
   /// Serves every already-parsed request on `conn` (inline routes run to
   /// completion here; a worker route hands the connection off and stops),
   /// then sends the inline responses with one FinishSend().  Returns false
-  /// when receive delivery must stop for now (connection closed,
-  /// dispatched to a worker, or a send parked).
+  /// when receive must stop for now (connection closed, dispatched to a
+  /// worker, or a tail parked).
   bool DrainParsed(Reactor& reactor, Connection* conn);
   /// Routes the parsed request the parser holds: inline handling (with
   /// response cache), or, once the buffered responses are sent, worker
@@ -318,22 +343,25 @@ class HttpServer {
   bool ServeInline(Reactor& reactor, Connection* conn,
                    const RouteEntry* route, bool path_known,
                    const HttpRequest& request);
-  /// Sends `conn->out` with one backend Send() and folds the result into
-  /// connection state: closes on error or when !keep_alive, suspends
-  /// receive while a send is pending.  Same return convention as
+  /// Sends `conn->out` with one send() without blocking: a tail the
+  /// socket does not take is copied to `conn->parked` and receive is
+  /// suspended until it drains.  Closes on a write error, and when
+  /// !keep_alive once everything is sent.  Same return convention as
   /// DrainParsed.
   bool FinishSend(Reactor& reactor, Connection* conn, bool keep_alive);
   void FindRoute(std::string_view method, std::string_view path,
                  const RouteEntry** route, bool* path_known) const;
   void ProcessRearms(Reactor& reactor);
+  /// Deregisters and closes the socket now; frees the connection at the
+  /// end of the current epoll_wait batch.
   void CloseConnection(Reactor& reactor, Connection* conn);
   /// Appends a control response (400/503) behind the buffered responses,
   /// sends them, and closes the connection once they drain.
   void SendControl(Reactor& reactor, Connection* conn, int status_code,
                    std::string body);
-  /// True when any connection on this reactor still has a parked send.
-  bool AnyPendingSend(Reactor& reactor) const;
-  void WorkerLoop();
+  /// A worker thread: serves queued requests, rendering into `response`,
+  /// which keeps its capacity across them (as the reactor's scratch does).
+  void WorkerLoop(HttpResponse response);
 
   HttpServerOptions options_;
   HttpRequestParser::Limits limits_;

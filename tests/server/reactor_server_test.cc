@@ -1,9 +1,9 @@
 // In-process tests of the multi-reactor HttpServer: N SO_REUSEPORT
 // reactors serving concurrent clients, inline-vs-worker dispatch on one
-// pipelined connection, and the epoch-keyed response cache observed
-// through real sockets (byte-identical replay within an epoch, wholesale
-// invalidation on epoch swap, Cache-Control: no-cache bypass, and the
-// unsettled-epoch forced miss).
+// pipelined connection, clients that hang up before reading, and the
+// epoch-keyed response cache observed through real sockets (byte-identical
+// replay within an epoch, wholesale invalidation on epoch swap,
+// Cache-Control: no-cache bypass, and the unsettled-epoch forced miss).
 //
 // Suites are named Reactor* so the ThreadSanitizer CI job runs them: the
 // stress test races cached reads on every reactor against epoch bumps.
@@ -142,18 +142,15 @@ TEST(ReactorServerTest, ConcurrentClientsAcrossReactors) {
   HttpServer server(options);
 
   std::atomic<std::int64_t> sum{0};
-  server.Route("GET", "/ping",
-               [](const HttpRequest&) {
-                 HttpResponse r;
-                 r.body = "pong";
-                 return r;
-               });
-  server.Route("POST", "/add", [&sum](const HttpRequest& request) {
-    sum.fetch_add(std::stoll(std::string(request.body)), std::memory_order_relaxed);
-    HttpResponse r;
-    r.body = "ok";
-    return r;
+  server.Route("GET", "/ping", [](const HttpRequest&, HttpResponse* r) {
+    r->body = "pong";
   });
+  server.Route("POST", "/add",
+               [&sum](const HttpRequest& request, HttpResponse* r) {
+                 sum.fetch_add(std::stoll(std::string(request.body)),
+                               std::memory_order_relaxed);
+                 r->body = "ok";
+               });
   ASSERT_TRUE(server.Start().ok());
 
   constexpr int kThreads = 8;
@@ -203,17 +200,14 @@ TEST(ReactorServerTest, PipelinedConnectionMixesInlineAndWorkerRoutes) {
   options.workers = 1;
   HttpServer server(options);
   std::atomic<int> posts{0};
-  server.Route("GET", "/a", [](const HttpRequest&) {
-    HttpResponse r;
-    r.body = "AA";
-    return r;
+  server.Route("GET", "/a", [](const HttpRequest&, HttpResponse* r) {
+    r->body = "AA";
   });
-  server.Route("POST", "/b", [&posts](const HttpRequest& request) {
-    posts.fetch_add(1, std::memory_order_relaxed);
-    HttpResponse r;
-    r.body = std::string("B:").append(request.body);
-    return r;
-  });
+  server.Route("POST", "/b",
+               [&posts](const HttpRequest& request, HttpResponse* r) {
+                 posts.fetch_add(1, std::memory_order_relaxed);
+                 r->body = std::string("B:").append(request.body);
+               });
   ASSERT_TRUE(server.Start().ok());
 
   // One keep-alive connection, three requests written in a single burst:
@@ -237,6 +231,56 @@ TEST(ReactorServerTest, PipelinedConnectionMixesInlineAndWorkerRoutes) {
   server.Shutdown();
 }
 
+// Clients that send a request for a 1 MiB response and close (or, with
+// `reset`, abort with an RST) without reading it.  The response overflows
+// the socket buffers, so the server is still writing, from the reactor or
+// from a worker, when the peer's RST lands; a plain write() there raises
+// SIGPIPE, which kills the whole process embedding the server.  The server
+// must drop those connections and keep serving.
+void ServeClientsThatHangUpUnread(bool reset) {
+  HttpServerOptions options;
+  options.reactors = 2;
+  options.workers = 2;
+  HttpServer server(options);
+  const std::string big(1 << 20, 'x');
+  const auto big_handler = [&big](const HttpRequest&, HttpResponse* r) {
+    r->body = big;
+  };
+  server.Route("GET", "/big", big_handler);
+  server.Route("POST", "/big", big_handler);
+  server.Route("GET", "/ping", [](const HttpRequest&, HttpResponse* r) {
+    r->body = "pong";
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  for (int i = 0; i < 50; ++i) {
+    const int fd = ConnectTo(server.port());
+    if (reset) {
+      const linger abort_on_close = {1, 0};
+      ASSERT_EQ(setsockopt(fd, SOL_SOCKET, SO_LINGER, &abort_on_close,
+                           sizeof(abort_on_close)),
+                0);
+    }
+    SendWire(fd, i % 2 == 0 ? Request("GET", "/big")
+                            : Request("POST", "/big", "", "x"));
+    close(fd);
+  }
+
+  const OneResponse after = FetchOnce(server.port(), "/ping");
+  ASSERT_TRUE(after.ok);
+  EXPECT_EQ(after.status, 200);
+  EXPECT_EQ(after.body, "pong");
+  server.Shutdown();
+}
+
+TEST(ReactorServerTest, ClientsClosingBeforeReadingCannotKillTheServer) {
+  ServeClientsThatHangUpUnread(/*reset=*/false);
+}
+
+TEST(ReactorServerTest, ClientsResettingBeforeReadingCannotKillTheServer) {
+  ServeClientsThatHangUpUnread(/*reset=*/true);
+}
+
 TEST(ReactorServerTest, CacheReplaysBytesWithinEpochAndInvalidatesOnSwap) {
   HttpServerOptions options;
   options.reactors = 2;
@@ -249,12 +293,10 @@ TEST(ReactorServerTest, CacheReplaysBytesWithinEpochAndInvalidatesOnSwap) {
     return std::optional<RouteOptions::ScopedEpoch>({"render", epoch.load()});
   };
   server.Route("GET", "/render",
-               [&renders](const HttpRequest&) {
-                 HttpResponse r;
-                 r.body =
-                     "render-" + std::to_string(renders.fetch_add(1,
-                                     std::memory_order_relaxed));
-                 return r;
+               [&renders](const HttpRequest&, HttpResponse* r) {
+                 r->body = "render-" +
+                           std::to_string(renders.fetch_add(
+                               1, std::memory_order_relaxed));
                },
                cacheable);
   ASSERT_TRUE(server.Start().ok());
@@ -316,11 +358,9 @@ TEST(ReactorServerTest, UnsettledEpochForcesHandlerToRun) {
     return RouteOptions::ScopedEpoch{"r", 5};
   };
   server.Route("GET", "/r",
-               [&renders](const HttpRequest&) {
-                 HttpResponse r;
-                 r.body = std::to_string(
+               [&renders](const HttpRequest&, HttpResponse* r) {
+                 r->body = std::to_string(
                      renders.fetch_add(1, std::memory_order_relaxed));
-                 return r;
                },
                cacheable);
   ASSERT_TRUE(server.Start().ok());
@@ -361,10 +401,8 @@ TEST(ReactorStress, CachedReadsRaceEpochBumps) {
   // client thread; cross-thread mixes are exercised for TSan, not
   // asserted on).
   server.Route("GET", "/e",
-               [&epoch](const HttpRequest&) {
-                 HttpResponse r;
-                 r.body = std::to_string(epoch.load());
-                 return r;
+               [&epoch](const HttpRequest&, HttpResponse* r) {
+                 r->body = std::to_string(epoch.load());
                },
                cacheable);
   ASSERT_TRUE(server.Start().ok());

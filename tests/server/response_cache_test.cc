@@ -79,10 +79,10 @@ TEST(ResponseCacheTest, HitReturnsStoredBytesVerbatim) {
   const std::string wire = "HTTP/1.1 200 OK\r\n\r\n{\"x\":1}";
 
   const std::string_view key = cache.BuildKey(request);
-  EXPECT_EQ(cache.Lookup(1, key), nullptr);  // cold: miss
-  cache.Store(1, key, wire);
+  EXPECT_EQ(cache.Lookup("s", 1, key), nullptr);  // cold: miss
+  cache.Store("s", 1, key, wire);
 
-  const std::string* hit = cache.Lookup(1, cache.BuildKey(request));
+  const std::string* hit = cache.Lookup("s", 1, cache.BuildKey(request));
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, wire);
 
@@ -96,21 +96,20 @@ TEST(ResponseCacheTest, EpochAdvanceMissesStaleEntriesLazily) {
   ResponseCache cache;
   const ParsedRequest a = GetRequest("/hotlist?k=10");
   const ParsedRequest b = GetRequest("/frequency?value=7");
-  cache.Store(1, cache.BuildKey(a), "A");
-  cache.Store(1, cache.BuildKey(b), "B");
+  cache.Store("s", 1, cache.BuildKey(a), "A");
+  cache.Store("s", 1, cache.BuildKey(b), "B");
   EXPECT_EQ(cache.GetStats().entries, 2u);
 
   // A lookup carrying the next epoch misses; the stale entries stay in
   // place (reclaimed lazily by the re-render's Store or cap pressure).
-  EXPECT_EQ(cache.Lookup(2, cache.BuildKey(a)), nullptr);
+  EXPECT_EQ(cache.Lookup("s", 2, cache.BuildKey(a)), nullptr);
   const ResponseCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.invalidations, 1);
-  EXPECT_EQ(cache.epoch(), 2u);
 
   // The re-render's Store overwrites the stale incarnation in place.
-  cache.Store(2, cache.BuildKey(a), "A2");
-  const std::string* hit = cache.Lookup(2, cache.BuildKey(a));
+  cache.Store("s", 2, cache.BuildKey(a), "A2");
+  const std::string* hit = cache.Lookup("s", 2, cache.BuildKey(a));
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, "A2");
   EXPECT_EQ(cache.GetStats().entries, 2u);
@@ -171,8 +170,7 @@ TEST(ResponseCacheTest, CapPressureSweepsOnlyStaleEntries) {
 
 TEST(ResponseCacheTest, ScopedWarmHitPathDoesNotAllocate) {
   // The surgical key carries (scope, epoch) per entry; after the scope is
-  // interned, the scoped hit path must stay as allocation-free as the
-  // legacy one.
+  // interned, the scoped hit path must not allocate.
   ResponseCache cache;
   const ParsedRequest request = GetRequest("/attr/price/distinct");
   std::string wire(256, 'p');
@@ -211,9 +209,9 @@ TEST(ResponseCacheTest, KeepAliveBitSplitsTheKey) {
   const std::string keep_key(cache.BuildKey(keep));
   EXPECT_NE(keep_key, std::string(cache.BuildKey(close_it)));
 
-  cache.Store(1, cache.BuildKey(keep), "KEEPALIVE-WIRE");
-  EXPECT_EQ(cache.Lookup(1, cache.BuildKey(close_it)), nullptr);
-  EXPECT_NE(cache.Lookup(1, cache.BuildKey(keep)), nullptr);
+  cache.Store("s", 1, cache.BuildKey(keep), "KEEPALIVE-WIRE");
+  EXPECT_EQ(cache.Lookup("s", 1, cache.BuildKey(close_it)), nullptr);
+  EXPECT_NE(cache.Lookup("s", 1, cache.BuildKey(keep)), nullptr);
 }
 
 TEST(ResponseCacheTest, OversizedAndOverCapStoresAreDropped) {
@@ -222,14 +220,15 @@ TEST(ResponseCacheTest, OversizedAndOverCapStoresAreDropped) {
   options.max_entry_bytes = 8;
   ResponseCache cache(options);
 
-  cache.Store(1, cache.BuildKey(GetRequest("/a?x=1")), "123456789");
+  cache.Store("s", 1, cache.BuildKey(GetRequest("/a?x=1")), "123456789");
   EXPECT_EQ(cache.GetStats().entries, 0u);  // oversized
 
-  cache.Store(1, cache.BuildKey(GetRequest("/a?x=1")), "1");
-  cache.Store(1, cache.BuildKey(GetRequest("/a?x=2")), "2");
-  cache.Store(1, cache.BuildKey(GetRequest("/a?x=3")), "3");  // over cap
+  cache.Store("s", 1, cache.BuildKey(GetRequest("/a?x=1")), "1");
+  cache.Store("s", 1, cache.BuildKey(GetRequest("/a?x=2")), "2");
+  cache.Store("s", 1, cache.BuildKey(GetRequest("/a?x=3")), "3");  // over cap
   EXPECT_EQ(cache.GetStats().entries, 2u);
-  EXPECT_EQ(cache.Lookup(1, cache.BuildKey(GetRequest("/a?x=3"))), nullptr);
+  EXPECT_EQ(cache.Lookup("s", 1, cache.BuildKey(GetRequest("/a?x=3"))),
+            nullptr);
 }
 
 TEST(ResponseCacheTest, BypassAndForcedMissCounters) {
@@ -247,16 +246,16 @@ TEST(ResponseCacheTest, WarmHitPathDoesNotAllocate) {
   const ParsedRequest request =
       GetRequest("/count_where?low=10&high=5000&confidence=0.95");
   std::string wire(512, 'x');
-  cache.Store(7, cache.BuildKey(request), std::move(wire));
+  cache.Store("s", 7, cache.BuildKey(request), std::move(wire));
 
   // Warm once: BuildKey's buffer and the canonical-query scratch reach
   // their steady-state capacity.
-  ASSERT_NE(cache.Lookup(7, cache.BuildKey(request)), nullptr);
+  ASSERT_NE(cache.Lookup("s", 7, cache.BuildKey(request)), nullptr);
 
   const std::int64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
     const std::string_view key = cache.BuildKey(request);
-    const std::string* hit = cache.Lookup(7, key);
+    const std::string* hit = cache.Lookup("s", 7, key);
     ASSERT_NE(hit, nullptr);
     ASSERT_EQ(hit->size(), 512u);
   }
@@ -294,12 +293,12 @@ TEST(ResponseCacheTest, CanonicalSqlSpellingsShareOneEntry) {
 
   std::string_view key;
   ASSERT_TRUE(cache.BuildKeyWith(spelled, SqlCanonicalKey, &key));
-  cache.Store(3, key, "PLANNED-WIRE");
+  cache.Store("s", 3, key, "PLANNED-WIRE");
   ASSERT_TRUE(cache.BuildKeyWith(respelled, SqlCanonicalKey, &key));
-  EXPECT_NE(cache.Lookup(3, key), nullptr)
+  EXPECT_NE(cache.Lookup("s", 3, key), nullptr)
       << "equivalent spelling missed the cached entry";
   ASSERT_TRUE(cache.BuildKeyWith(different, SqlCanonicalKey, &key));
-  EXPECT_EQ(cache.Lookup(3, key), nullptr)
+  EXPECT_EQ(cache.Lookup("s", 3, key), nullptr)
       << "a different range must not share the entry";
 
   // A statement the parser rejects cannot be keyed: the route serves it
@@ -322,13 +321,13 @@ TEST(ResponseCacheTest, WarmCanonicalSqlHitPathDoesNotAllocate) {
   const std::function<bool(const HttpRequest&, std::string*)> canonical =
       SqlCanonicalKey;
   ASSERT_TRUE(cache.BuildKeyWith(request, canonical, &key));
-  cache.Store(7, key, std::move(wire));
-  ASSERT_NE(cache.Lookup(7, key), nullptr);
+  cache.Store("s", 7, key, std::move(wire));
+  ASSERT_NE(cache.Lookup("s", 7, key), nullptr);
 
   const std::int64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(cache.BuildKeyWith(request, canonical, &key));
-    const std::string* hit = cache.Lookup(7, key);
+    const std::string* hit = cache.Lookup("s", 7, key);
     ASSERT_NE(hit, nullptr);
     ASSERT_EQ(hit->size(), 512u);
   }
@@ -340,9 +339,9 @@ TEST(ResponseCacheTest, WarmCanonicalSqlHitPathDoesNotAllocate) {
 TEST(ResponseCacheTest, StoreAfterEpochAdvanceStartsFresh) {
   ResponseCache cache;
   const ParsedRequest request = GetRequest("/quantile?q=0.5");
-  cache.Store(1, cache.BuildKey(request), "EPOCH1");
-  cache.Store(2, cache.BuildKey(request), "EPOCH2");
-  const std::string* hit = cache.Lookup(2, cache.BuildKey(request));
+  cache.Store("s", 1, cache.BuildKey(request), "EPOCH1");
+  cache.Store("s", 2, cache.BuildKey(request), "EPOCH2");
+  const std::string* hit = cache.Lookup("s", 2, cache.BuildKey(request));
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, "EPOCH2");
   EXPECT_EQ(cache.GetStats().entries, 1u);

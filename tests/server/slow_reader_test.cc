@@ -2,8 +2,8 @@
 // must never stall the reactor.  The server runs with a deliberately tiny
 // listener SO_SNDBUF so a ~300KB response cannot fit in the socket buffer;
 // the old reactor poll-spun inside a blocking writev until the peer
-// drained, freezing every other connection on the reactor.  The IoBackend
-// contract parks the unsent tail instead (EPOLLOUT rearm), so a concurrent
+// drained, freezing every other connection on the reactor.  The reactor
+// now parks the unsent tail instead (EPOLLOUT rearm), so a concurrent
 // fast client keeps getting answers while the slow reader crawls — and the
 // slow reader still receives every byte, verbatim.
 
